@@ -8,14 +8,18 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
+
+#include "common/simd.h"
 
 namespace c2mn {
 namespace bench {
@@ -93,6 +97,25 @@ void WriteRunsArray(std::ostream& out, const std::vector<CapturedRun>& runs,
     out << "}" << (r + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "  ]";
+}
+
+/// Emits `"machine": {...}` (no trailing comma): hardware threads, CPU
+/// model (from /proc/cpuinfo where present) and the active SIMD tier, so
+/// every recorded figure names the machine it was measured on.
+inline void WriteMachine(std::ostream& out) {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu_model = line.substr(colon + 1);
+      cpu_model.erase(0, cpu_model.find_first_not_of(' '));
+      break;
+    }
+  }
+  out << "  \"machine\": {\"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"cpu_model\": \"" << EscapeJson(cpu_model) << "\", \"simd\": \""
+      << simd::LevelName(simd::ActiveLevel()) << "\"}";
 }
 
 /// Parses "name=ms,name=ms" (the C2MN_BENCH_BASELINE format).

@@ -16,6 +16,7 @@
 // "name=ms,name=ms,..." (and optionally C2MN_BENCH_BASELINE_COMMIT) to
 // embed a baseline and per-benchmark speedups in the JSON.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -121,25 +122,38 @@ const LabeledSequence& SequenceNear(const InferenceState& s, size_t target) {
 
 /// Joint (R, E) annotation of one p-sequence with ~`records` records,
 /// cold workspace per decode (the historical BM_AnnotateSeq figure).
+/// The corpus's longest sequence has 183 records, so sizes stop at 200;
+/// a size with no sequence within a quarter of it is refused rather than
+/// silently measured on a shorter one.
 void BM_AnnotateSequence(benchmark::State& state) {
   InferenceState& s = InferenceState::Get();
-  const LabeledSequence& best =
-      SequenceNear(s, static_cast<size_t>(state.range(0)));
+  const size_t target = static_cast<size_t>(state.range(0));
+  const LabeledSequence& best = SequenceNear(s, target);
+  if (4 * std::max(best.size(), target) > 5 * std::min(best.size(), target)) {
+    state.SkipWithError("no corpus sequence near the requested length");
+    return;
+  }
   const C2mnAnnotator annotator(*s.scenario.world, s.fopts, C2mnStructure{},
                                 s.weights);
+  const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     benchmark::DoNotOptimize(annotator.Annotate(best.sequence));
   }
+  const double loop_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   const uint64_t before = AllocCount();
   benchmark::DoNotOptimize(annotator.Annotate(best.sequence));
   state.counters["allocs_per_decode"] =
       static_cast<double>(AllocCount() - before);
   state.counters["records"] = static_cast<double>(best.size());
-  state.counters["ms_per_100rec"] = benchmark::Counter(
-      100.0 * 1e3 / static_cast<double>(best.size()),
-      benchmark::Counter::kDefaults);
+  // Measured wall time per decode, scaled to 100 records (the paper's
+  // "~100 records in under 600 ms" unit).
+  state.counters["ms_per_100rec"] =
+      loop_ms / static_cast<double>(state.iterations()) * 100.0 /
+      static_cast<double>(best.size());
 }
-BENCHMARK(BM_AnnotateSequence)->Arg(100)->Arg(200)->Arg(400)
+BENCHMARK(BM_AnnotateSequence)->Arg(100)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
 /// Same decode through a reused DecodeWorkspace — the streaming-service
@@ -442,6 +456,8 @@ void WriteJson(const std::string& path, const std::vector<CapturedRun>& runs,
     out << "  \"baseline_commit\": \"" << EscapeJson(baseline_commit)
         << "\",\n";
   }
+  bench::WriteMachine(out);
+  out << ",\n";
   out << "  \"steady_state_push\": {\n";
   out << "    \"non_decode_push_allocs_max\": "
       << push_stats.steady_push_allocs_max << ",\n";

@@ -82,7 +82,9 @@ void Logger::Log(LogLevel level, const std::string& message) {
 #else
   gmtime_r(&secs, &tm_utc);
 #endif
-  char stamp[40];
+  // Sized for seven fields of any int width (11 chars each) plus the
+  // separators, so the stamp can never truncate.
+  char stamp[96];
   std::snprintf(stamp, sizeof(stamp), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
                 tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec,

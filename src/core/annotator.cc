@@ -38,8 +38,8 @@ void C2mnAnnotator::BuildRegionPotentials(const SequenceGraph& g,
       // (bit-identical to evaluating the two features independently).
       const double decay = features::EdgeTimeDecay(g, i);
       const double delta_e = g.DeltaE(i);
-      const std::vector<RegionId>& cands_a = g.Candidates(i);
-      const std::vector<RegionId>& cands_b = g.Candidates(i + 1);
+      const CandidateSpan cands_a = g.Candidates(i);
+      const CandidateSpan cands_b = g.Candidates(i + 1);
       for (int a = 0; a < da; ++a) {
         const RegionId ra = cands_a[a];
         double* row = edge + static_cast<size_t>(a) * db;
@@ -105,7 +105,7 @@ void C2mnAnnotator::DecodeRegions(const JointScorer& scorer,
     // happens after), so one index build serves the whole sweep.
     scorer.BuildSegIndex(*regions, events, &ws->seg);
     for (int i = 0; i < n; ++i) {
-      scorer.RegionSegScores(i, weights_, *regions, events, &ws->seg,
+      scorer.RegionSegScores(i, weights_, events, &ws->seg,
                              ws->node_bias.data() + pots.node_off[i]);
     }
     decode(ws->node_bias.data(), &ws->next);
@@ -246,8 +246,13 @@ void C2mnAnnotator::AnnotateInto(const PSequence& sequence,
   labels->regions.clear();
   labels->events.clear();
   if (sequence.empty()) return;
-  SequenceGraph& graph = ws->graph;
-  graph.Rebuild(world_, sequence, fopts_, nullptr);
+  ws->graph.Rebuild(world_, sequence, fopts_, nullptr);
+  LabelGraphInto(ws->graph, ws, labels);
+}
+
+void C2mnAnnotator::LabelGraphInto(const SequenceGraph& graph,
+                                   DecodeWorkspace* ws,
+                                   LabelSequence* labels) const {
   Decode(graph, ws, &ws->region_idx, &ws->events);
   labels->regions.resize(graph.size());
   labels->events.assign(ws->events.begin(), ws->events.end());

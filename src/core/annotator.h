@@ -102,6 +102,12 @@ class C2mnAnnotator {
   void AnnotateInto(const PSequence& sequence, DecodeWorkspace* workspace,
                     LabelSequence* labels) const;
 
+  /// The decode half of AnnotateInto: labels an already built `graph`
+  /// (typically workspace->graph, rebuilt by a caller that carries unroll
+  /// output across windows) with region ids and events.
+  void LabelGraphInto(const SequenceGraph& graph, DecodeWorkspace* workspace,
+                      LabelSequence* labels) const;
+
   /// Labels a pre-built sequence graph (exposed for training internals
   /// and micro-benchmarks); returns candidate *indices* for regions.
   void Decode(const SequenceGraph& graph, std::vector<int>* regions,

@@ -29,6 +29,24 @@ obs::Histogram* DecodeSeconds() {
   return histogram;
 }
 
+obs::Histogram* GraphRebuildSeconds() {
+  static obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "c2mn_graph_rebuild_seconds",
+          "Wall time of the sequence-graph unroll (candidates, f_sm, "
+          "st-DBSCAN) inside one sliding-window decode",
+          obs::Histogram::Config{1e-7, 1e2, 2.0});
+  return histogram;
+}
+
+obs::Counter* GraphRecordsReusedTotal() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      "c2mn_graph_records_reused_total",
+      "Window records whose candidates and f_sm were carried over from the "
+      "session's previous decode instead of recomputed");
+  return counter;
+}
+
 obs::Counter* DecodeWindowsSkippedTotal() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "c2mn_decode_windows_skipped_total",
@@ -103,6 +121,7 @@ void OnlineAnnotator::DecodeAndFinalize(int keep_provisional,
     // exactly what re-decoding would have to improve on — and they came
     // from a wider window than the one a re-decode would see now.
     DecodeWindowsSkippedTotal()->Increment();
+    carry_.Clear();  // Indexed by window position, which shifts below.
     if (freeze <= 0) return;
     for (int i = 0; i < freeze; ++i) {
       Accumulate(window_[i], provisional_regions_[i], provisional_events_[i],
@@ -115,17 +134,26 @@ void OnlineAnnotator::DecodeAndFinalize(int keep_provisional,
                               provisional_events_.begin() + freeze);
     return;
   }
-  const auto decode_start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const auto decode_start = Clock::now();
   sequence_scratch_.records.assign(window_.begin(), window_.end());
-  annotator_.AnnotateInto(sequence_scratch_, ws, &labels_scratch_);
+  ws->graph.Rebuild(world_, sequence_scratch_, fopts_, nullptr, &carry_);
+  const auto rebuilt = Clock::now();
+  annotator_.LabelGraphInto(ws->graph, ws, &labels_scratch_);
   DecodeWindowsTotal()->Increment();
-  DecodeSeconds()->Observe(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - decode_start)
-                               .count());
+  GraphRecordsReusedTotal()->Increment(
+      static_cast<uint64_t>(ws->graph.records_reused()));
+  GraphRebuildSeconds()->Observe(
+      std::chrono::duration<double>(rebuilt - decode_start).count());
+  DecodeSeconds()->Observe(
+      std::chrono::duration<double>(Clock::now() - decode_start).count());
+  const int first_kept = freeze > 0 ? freeze : 0;
+  // Carry the unroll of the records that stay in the window into the
+  // next decode, which sees them again at positions 0, 1, ...
+  carry_.Keep(ws->graph, first_kept);
   // Cache the labels of the records that stay in the window, so an
   // immediately following decode of the unchanged window (a flush right
   // after a stride decode) can skip the annotator entirely.
-  const int first_kept = freeze > 0 ? freeze : 0;
   provisional_regions_.assign(labels_scratch_.regions.begin() + first_kept,
                               labels_scratch_.regions.end());
   provisional_events_.assign(labels_scratch_.events.begin() + first_kept,
@@ -208,6 +236,7 @@ void OnlineAnnotator::FlushInto(DecodeWorkspace* ws,
   window_dirty_ = true;
   provisional_regions_.clear();
   provisional_events_.clear();
+  carry_.Clear();
 }
 
 }  // namespace c2mn

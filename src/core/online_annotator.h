@@ -153,6 +153,10 @@ class OnlineAnnotator {
   /// warm-up a window decode performs no potential/message allocations,
   /// and pushes that do not trigger a decode perform none at all.
   mutable DecodeWorkspace workspace_;
+  /// Candidates and f_sm of the records kept after the last decode,
+  /// reused by the next decode's graph rebuild.  Per session (never in a
+  /// workspace, which a shard shares between sessions).
+  UnrollCarry carry_;
   PSequence sequence_scratch_;
   LabelSequence labels_scratch_;
 };

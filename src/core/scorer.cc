@@ -366,7 +366,6 @@ FeatureVec JointScorer::RegionNodeFeatures(
 }
 
 void JointScorer::RegionSegScores(int i, const std::vector<double>& weights,
-                                  const std::vector<int>& regions,
                                   const std::vector<MobilityEvent>& events,
                                   SegScratch* scratch, double* out) const {
   const int n = g_.size();

@@ -90,14 +90,14 @@ class JointScorer {
   /// only the DISTNUM membership of each candidate differs — and the
   /// region-run restructuring of f_ss is evaluated once per equivalence
   /// class (candidate equals left-neighbor region / right-neighbor region,
-  /// at most four classes) instead of once per candidate.  Run bounds and
-  /// run features come from the BuildSegIndex tables (which must be
-  /// current for `regions` / `events`), so the cost per position is
+  /// at most four classes) instead of once per candidate.  Run bounds,
+  /// run features and the region labels come from the BuildSegIndex
+  /// tables (which must be current for the labeling being scored, whose
+  /// events are `events`), so the cost per position is
   /// O(runs in the affected window), not O(window length) — the scan
   /// version made sweeps over long homogeneous runs quadratic.  This is
   /// the ICM inner loop of the annotator.
   void RegionSegScores(int i, const std::vector<double>& weights,
-                       const std::vector<int>& regions,
                        const std::vector<MobilityEvent>& events,
                        SegScratch* scratch, double* out) const;
 

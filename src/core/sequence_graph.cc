@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "geometry/circle_overlap.h"
 #include "geometry/turns.h"
@@ -11,27 +12,11 @@ namespace c2mn {
 
 namespace {
 
-/// f_sm (Eq. 3) generalized across floors: the overlap of the uncertainty
-/// disk with the region's partitions, discounted per floor of mismatch,
-/// optionally scaled by the normalized historical region frequency.
-double ComputeSpatialMatch(const World& world, const FeatureOptions& opts,
-                           const IndoorPoint& location, RegionId region) {
-  const double v = opts.uncertainty_radius_v;
-  const double disk_area = M_PI * v * v;
-  double overlap = 0.0;
-  for (PartitionId pid : world.plan().region(region).partitions) {
-    const Partition& part = world.plan().partition(pid);
-    const double raw =
-        CirclePolygonIntersectionArea(location.xy, v, part.shape);
-    const int dfloor = std::abs(part.floor - location.floor);
-    overlap += raw * std::pow(opts.floor_mismatch_discount, dfloor);
-  }
-  double value = overlap / disk_area;
-  if (opts.use_region_frequency &&
-      region < static_cast<RegionId>(opts.region_frequency.size())) {
-    value *= opts.region_frequency[region];
-  }
-  return value;
+/// Bitwise equality, so a carried entry is reused only for the exact
+/// location it was built around (+0.0 and -0.0 differ here).
+bool SameBits(const IndoorPoint& a, const IndoorPoint& b) {
+  return a.floor == b.floor &&
+         std::memcmp(&a.xy, &b.xy, sizeof(Vec2)) == 0;
 }
 
 /// 3-point moving average of the estimates around record i, on the
@@ -85,13 +70,14 @@ SequenceGraph::SequenceGraph(const World& world, const PSequence& sequence,
 
 void SequenceGraph::Rebuild(const World& world, const PSequence& sequence,
                             const FeatureOptions& options,
-                            const LabelSequence* inject_truth) {
+                            const LabelSequence* inject_truth,
+                            const UnrollCarry* carry) {
   world_ = &world;
   sequence_ = &sequence;
   options_ = &options;
   n_ = static_cast<int>(sequence.size());
   assert(n_ > 0);
-  BuildCandidates(inject_truth);
+  BuildCandidates(inject_truth, carry);
 
   StDbscanInto(sequence, options.dbscan, &dbscan_scratch_, &dbscan_result_);
   density_ = dbscan_result_.classes;
@@ -121,23 +107,84 @@ void SequenceGraph::Rebuild(const World& world, const PSequence& sequence,
   for (int i = 0; i < n_; ++i) turn_prefix_[i + 1] = turn_prefix_[i] + turn_[i];
 }
 
-void SequenceGraph::BuildCandidates(const LabelSequence* inject_truth) {
+double SequenceGraph::SpatialMatchOf(const IndoorPoint& location,
+                                     RegionId region) const {
+  // Eq. 3 generalized across floors: the overlap of the uncertainty disk
+  // with the region's partitions, discounted per floor of mismatch,
+  // optionally scaled by the normalized historical region frequency.
   const FeatureOptions& opts = *options_;
-  // Grow-only: entries past n_ keep their capacity for a later, longer
-  // rebuild; entries below n_ are rebuilt in place (clear keeps capacity).
-  if (static_cast<int>(candidates_.size()) < n_) candidates_.resize(n_);
-  if (static_cast<int>(fsm_.size()) < n_) fsm_.resize(n_);
+  const double v = opts.uncertainty_radius_v;
+  const double disk_area = M_PI * v * v;
+  double overlap = 0.0;
+  for (PartitionId pid : world_->plan().region(region).partitions) {
+    const Partition& part = world_->plan().partition(pid);
+    const double raw =
+        CirclePolygonIntersectionArea(location.xy, v, part.shape);
+    const size_t dfloor =
+        static_cast<size_t>(std::abs(part.floor - location.floor));
+    overlap += raw * (dfloor < floor_discount_.size()
+                          ? floor_discount_[dfloor]
+                          : std::pow(opts.floor_mismatch_discount,
+                                     static_cast<int>(dfloor)));
+  }
+  double value = overlap / disk_area;
+  if (opts.use_region_frequency &&
+      region < static_cast<RegionId>(opts.region_frequency.size())) {
+    value *= opts.region_frequency[region];
+  }
+  return value;
+}
+
+void SequenceGraph::BuildCandidates(const LabelSequence* inject_truth,
+                                    const UnrollCarry* carry) {
+  const FeatureOptions& opts = *options_;
+  // The flat buffers keep their capacity: clear() then append.
+  offsets_.resize(n_ + 1);
+  candidates_.clear();
+  fsm_.clear();
+  locations_.resize(n_);
+  // Floor gaps on this venue run from 0 to num_floors - 1; a record on an
+  // out-of-range floor falls back to pow() in SpatialMatchOf.
+  floor_discount_.resize(world_->plan().num_floors());
+  for (size_t d = 0; d < floor_discount_.size(); ++d) {
+    floor_discount_[d] =
+        std::pow(opts.floor_mismatch_discount, static_cast<int>(d));
+  }
+  // Carried entries hold honest candidates only: a training rebuild,
+  // which injects the truth region, recomputes every record.
+  const int carried =
+      carry != nullptr && inject_truth == nullptr ? std::min(carry->size(), n_)
+                                                  : 0;
+  records_reused_ = 0;
   for (int i = 0; i < n_; ++i) {
     const IndoorPoint loc = opts.smooth_observations
                                 ? SmoothedLocation(*sequence_, i)
                                 : (*sequence_)[i].location;
-    std::vector<RegionId>& cands = candidates_[i];
-    cands.clear();
+    locations_[i] = loc;
+    const size_t first = candidates_.size();
+    offsets_[i] = static_cast<int>(first);
+    if (i < carried && SameBits(carry->locations_[i], loc)) {
+      const int lo = carry->offsets_[i];
+      const int hi = carry->offsets_[i + 1];
+      candidates_.insert(candidates_.end(), carry->candidates_.begin() + lo,
+                         carry->candidates_.begin() + hi);
+      fsm_.insert(fsm_.end(), carry->fsm_.begin() + lo,
+                  carry->fsm_.begin() + hi);
+      ++records_reused_;
+      continue;
+    }
+    // Appends `region` unless record i already has it.
+    const auto add = [this, first](RegionId region) {
+      if (std::find(candidates_.begin() + first, candidates_.end(), region) ==
+          candidates_.end()) {
+        candidates_.push_back(region);
+      }
+    };
     world_->index().NearestRegionsInto(loc, opts.candidate_k,
                                        opts.candidate_max_distance,
                                        &nn_scratch_);
     for (const auto& [region, dist] : nn_scratch_) {
-      cands.push_back(region);
+      candidates_.push_back(region);
     }
     if (opts.cross_floor_candidates) {
       for (int df : {-1, 1}) {
@@ -145,41 +192,53 @@ void SequenceGraph::BuildCandidates(const LabelSequence* inject_truth) {
         world_->index().NearestRegionsInto(shifted, opts.cross_floor_k,
                                            opts.cross_floor_max_distance,
                                            &nn_scratch_);
-        for (const auto& [region, dist] : nn_scratch_) {
-          if (std::find(cands.begin(), cands.end(), region) == cands.end()) {
-            cands.push_back(region);
-          }
-        }
+        for (const auto& [region, dist] : nn_scratch_) add(region);
       }
     }
-    if (cands.empty()) {
+    if (candidates_.size() == first) {
       // Degenerate placement (far outlier): fall back to the globally
       // nearest region on this floor, or region 0.
       const RegionId nearest = world_->index().NearestRegion(loc);
-      cands.push_back(nearest != kInvalidId ? nearest : 0);
+      candidates_.push_back(nearest != kInvalidId ? nearest : 0);
     }
-    if (inject_truth != nullptr) {
-      const RegionId truth = inject_truth->regions[i];
-      if (truth != kInvalidId &&
-          std::find(cands.begin(), cands.end(), truth) == cands.end()) {
-        cands.push_back(truth);
-      }
+    if (inject_truth != nullptr && inject_truth->regions[i] != kInvalidId) {
+      add(inject_truth->regions[i]);
     }
-    fsm_[i].resize(cands.size());
     double fsm_sum = 0.0;
-    for (size_t a = 0; a < cands.size(); ++a) {
-      fsm_[i][a] = ComputeSpatialMatch(*world_, opts, loc, cands[a]);
-      fsm_sum += fsm_[i][a];
+    for (size_t a = first; a < candidates_.size(); ++a) {
+      fsm_.push_back(SpatialMatchOf(loc, candidates_[a]));
+      fsm_sum += fsm_.back();
     }
     if (opts.normalize_fsm && fsm_sum > 1e-12) {
-      for (double& v : fsm_[i]) v /= fsm_sum;
+      for (size_t a = first; a < fsm_.size(); ++a) fsm_[a] /= fsm_sum;
     }
+  }
+  offsets_[n_] = static_cast<int>(candidates_.size());
+}
+
+void UnrollCarry::Clear() {
+  locations_.clear();
+  offsets_.assign(1, 0);
+  candidates_.clear();
+  fsm_.clear();
+}
+
+void UnrollCarry::Keep(const SequenceGraph& graph, int first) {
+  Clear();
+  for (int i = first; i < graph.size(); ++i) {
+    locations_.push_back(graph.UnrollLocation(i));
+    const CandidateSpan cands = graph.Candidates(i);
+    candidates_.insert(candidates_.end(), cands.begin(), cands.end());
+    for (size_t a = 0; a < cands.size(); ++a) {
+      fsm_.push_back(graph.SpatialMatch(i, static_cast<int>(a)));
+    }
+    offsets_.push_back(static_cast<int>(candidates_.size()));
   }
 }
 
 int SequenceGraph::CandidateIndex(int i, RegionId region) const {
-  const auto& cands = candidates_[i];
-  const auto it = std::find(cands.begin(), cands.end(), region);
+  const CandidateSpan cands = Candidates(i);
+  const RegionId* it = std::find(cands.begin(), cands.end(), region);
   return it == cands.end() ? -1 : static_cast<int>(it - cands.begin());
 }
 

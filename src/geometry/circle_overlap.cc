@@ -62,14 +62,23 @@ double TriangleDiskArea(Vec2 a, Vec2 b, double r) {
 double CirclePolygonIntersectionArea(const Vec2& center, double radius,
                                       const Polygon& polygon) {
   if (radius <= 0.0 || polygon.empty()) return 0.0;
-  // Quick reject: disk far outside the polygon's bounding box.
-  if (polygon.bbox().Distance(center) >= radius) return 0.0;
+  // Quick reject: disk outside the polygon's bounding box (bbox distance
+  // >= radius).  Squared distances decide it; only inside their rounding
+  // band around r^2 does the hypot comparison break the tie, so the
+  // reject set is exactly the hypot test's.
+  const double d2 = polygon.bbox().SquaredDistance(center);
+  const double r2 = radius * radius;
+  if (d2 > r2 * (1.0 + 1e-12)) return 0.0;
+  if (d2 >= r2 * (1.0 - 1e-12) && polygon.bbox().Distance(center) >= radius) {
+    return 0.0;
+  }
   const auto& vs = polygon.vertices();
   const size_t n = vs.size();
   double area = 0.0;
+  // Edge (vs[i], vs[i + 1]), wrapping at the end without a modulo.
   for (size_t i = 0; i < n; ++i) {
     const Vec2 a = vs[i] - center;
-    const Vec2 b = vs[(i + 1) % n] - center;
+    const Vec2 b = vs[i + 1 < n ? i + 1 : 0] - center;
     area += TriangleDiskArea(a, b, radius);
   }
   // CCW polygons give a positive sum; clamp tiny negative rounding noise.

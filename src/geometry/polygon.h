@@ -1,6 +1,7 @@
 #ifndef C2MN_GEOMETRY_POLYGON_H_
 #define C2MN_GEOMETRY_POLYGON_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "geometry/vec2.h"
@@ -20,6 +21,14 @@ struct BoundingBox {
   bool Intersects(const BoundingBox& other) const;
   /// Minimum distance from `p` to the box (0 when inside).
   double Distance(const Vec2& p) const;
+  /// Distance(p) squared, without the square root: the key of the R-tree's
+  /// best-first traversal and of the f_sm disk reject.  Inline: the
+  /// traversal computes one per queued child.
+  double SquaredDistance(const Vec2& p) const {
+    const double dx = std::max({min.x - p.x, 0.0, p.x - max.x});
+    const double dy = std::max({min.y - p.y, 0.0, p.y - max.y});
+    return dx * dx + dy * dy;
+  }
   double Area() const;
   Vec2 Center() const { return (min + max) * 0.5; }
 };
@@ -53,11 +62,20 @@ class Polygon {
   /// Minimum Euclidean distance from `p` to the polygon (0 when inside).
   double Distance(const Vec2& p) const;
 
+  /// Squared minimum distance from `p` to the polygon (0 when inside),
+  /// with no square root: one pass over the edges tests containment and
+  /// takes the squared edge minimum together, and an axis-aligned
+  /// rectangle (every generated partition) is just its bbox.  Orders
+  /// points as Distance() does; nearest-region search keys on it.
+  double SquaredDistance(const Vec2& p) const;
+
  private:
   std::vector<Vec2> vertices_;
   double area_ = 0.0;
   Vec2 centroid_;
   BoundingBox bbox_;
+  /// Whether the polygon is an axis-aligned rectangle, i.e. its own bbox.
+  bool is_box_ = false;
 };
 
 /// Signed area of the polygon ring (positive = CCW).
@@ -65,6 +83,10 @@ double SignedArea(const std::vector<Vec2>& ring);
 
 /// Distance from point `p` to segment [a, b].
 double PointSegmentDistance(const Vec2& p, const Vec2& a, const Vec2& b);
+
+/// PointSegmentDistance squared, computed without the square root.
+double PointSegmentSquaredDistance(const Vec2& p, const Vec2& a,
+                                   const Vec2& b);
 
 }  // namespace c2mn
 

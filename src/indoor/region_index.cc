@@ -1,6 +1,7 @@
 #include "indoor/region_index.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace c2mn {
 
@@ -11,7 +12,8 @@ RegionIndex::RegionIndex(const Floorplan& plan) : plan_(plan) {
     for (PartitionId pid : plan.PartitionsOnFloor(f)) {
       entries.push_back({plan.partition(pid).shape.bbox(), pid});
     }
-    floor_trees_[f] = std::make_unique<RTree>(std::move(entries));
+    floor_trees_[f] =
+        std::make_unique<RTree>(std::move(entries), kFloorTreeFanout);
   }
 }
 
@@ -43,45 +45,34 @@ void RegionIndex::NearestRegionsInto(const IndoorPoint& p, size_t k,
                                      double max_distance,
                                      std::vector<RegionDistance>* out) const {
   out->clear();
-  if (p.floor < 0 || p.floor >= static_cast<FloorId>(floor_trees_.size())) {
+  if (p.floor < 0 || p.floor >= static_cast<FloorId>(floor_trees_.size()) ||
+      max_distance < 0.0) {
     return;
   }
   out->reserve(k);
   const RTree& tree = *floor_trees_[p.floor];
   // Results are few (<= k, typically single digits), so deduplicating the
   // multi-partition regions by scanning the output beats a hash set.
-  // Both callbacks capture one pointer so they fit std::function's inline
-  // buffer — this query runs per record of every decoded sequence and
-  // must not heap-allocate its closures.
-  struct Ctx {
-    const Floorplan* plan;
-    Vec2 xy;
-    double max_distance;
-    size_t k;
-    std::vector<RegionDistance>* out;
-  };
-  const Ctx ctx{&plan_, p.xy, max_distance, k, out};
+  // The traversal runs on squared distances; a reported region takes the
+  // one square root.
   tree.NearestTraversal(
       p.xy,
-      [&ctx](int32_t pid) {
-        return ctx.plan->partition(pid).shape.Distance(ctx.xy);
+      [this, &p](int32_t pid) {
+        return plan_.partition(pid).shape.SquaredDistance(p.xy);
       },
-      [&ctx](int32_t pid, double dist) {
-        if (dist > ctx.max_distance) return false;  // Ordered: nothing closer.
-        const RegionId region = ctx.plan->partition(pid).region;
-        if (region != kInvalidId) {
-          const bool seen =
-              std::any_of(ctx.out->begin(), ctx.out->end(),
-                          [region](const RegionDistance& rd) {
-                            return rd.region == region;
-                          });
-          if (!seen) ctx.out->push_back({region, dist});
+      [this, k, out](int32_t pid, double dist2) {
+        const RegionId region = plan_.partition(pid).region;
+        if (region != kInvalidId &&
+            std::none_of(out->begin(), out->end(),
+                         [region](const RegionDistance& rd) {
+                           return rd.region == region;
+                         })) {
+          out->push_back({region, std::sqrt(dist2)});
         }
-        return ctx.out->size() < ctx.k;
+        return out->size() < k;
       },
-      // Prune the traversal at the query radius: subtrees beyond it can
-      // only produce visits the callback above would reject.
-      max_distance);
+      // The radius prunes the traversal: nothing beyond it is visited.
+      max_distance * max_distance);
 }
 
 RegionId RegionIndex::NearestRegion(const IndoorPoint& p) const {

@@ -114,10 +114,18 @@ std::vector<std::pair<int32_t, double>> RTree::NearestK(
     const Vec2& p, size_t k,
     const std::function<double(int32_t)>& refine) const {
   std::vector<std::pair<int32_t, double>> out;
-  NearestTraversal(p, refine, [&](int32_t payload, double dist) {
-    out.emplace_back(payload, dist);
-    return out.size() < k;
-  });
+  NearestTraversal(
+      p,
+      [&refine](int32_t payload) {
+        const double d = refine(payload);
+        return d * d;
+      },
+      [&](int32_t payload, double) {
+        // Re-refined rather than sqrt(d * d), so results are refine()'s
+        // own values.  Only the k reported payloads pay the second call.
+        out.emplace_back(payload, refine(payload));
+        return out.size() < k;
+      });
   return out;
 }
 

@@ -277,8 +277,7 @@ TEST_F(FlatDecodeEquivalenceTest, BatchedSegScoresMatchPerCandidateExactly) {
     for (int i = 0; i < n; ++i) {
       const int da = static_cast<int>(g.Candidates(i).size());
       batched.assign(da, 0.0);
-      scorer.RegionSegScores(i, weights_, regions, events, &scratch,
-                             batched.data());
+      scorer.RegionSegScores(i, weights_, events, &scratch, batched.data());
       for (int a = 0; a < da; ++a) {
         const FeatureVec f = scorer.RegionNodeFeatures(i, a, regions, events);
         double bonus = 0.0;

@@ -1,5 +1,7 @@
 #include "geometry/polygon.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -72,10 +74,33 @@ TEST(PolygonTest, DistanceOutside) {
   EXPECT_NEAR(rect.Distance({5, 3}), std::sqrt(2.0), 1e-12);
 }
 
+TEST(PolygonTest, SquaredDistanceIsDistanceSquared) {
+  // A rectangle answers from its bbox; the L-shape (and a rotated square)
+  // take the one-pass edge scan.  Both must agree with Distance()^2, with
+  // containment and the boundary included.
+  const Polygon rect = Polygon::Rectangle({0, 0}, {4, 2});
+  const Polygon l({{0, 0}, {4, 0}, {4, 2}, {2, 2}, {2, 4}, {0, 4}});
+  const Polygon diamond({{2, 0}, {4, 2}, {2, 4}, {0, 2}});
+  Rng rng(5);
+  for (const Polygon* poly : {&rect, &l, &diamond}) {
+    EXPECT_EQ(poly->SquaredDistance(poly->vertices()[1]), 0.0);
+    for (int q = 0; q < 500; ++q) {
+      const Vec2 p{rng.Uniform(-3, 7), rng.Uniform(-3, 7)};
+      const double d = poly->Distance(p);
+      EXPECT_NEAR(poly->SquaredDistance(p), d * d, 1e-12 * (1 + d * d));
+      EXPECT_EQ(poly->SquaredDistance(p) == 0.0, poly->Contains(p));
+    }
+  }
+  EXPECT_EQ(l.SquaredDistance({3, 3}), 1.0);  // The notch of the L.
+  EXPECT_EQ(rect.SquaredDistance({7, 6}), 25.0);
+  EXPECT_EQ(rect.bbox().SquaredDistance({7, 6}), 25.0);
+}
+
 TEST(PointSegmentDistanceTest, Cases) {
   EXPECT_DOUBLE_EQ(PointSegmentDistance({0, 1}, {-1, 0}, {1, 0}), 1.0);
   EXPECT_DOUBLE_EQ(PointSegmentDistance({3, 0}, {-1, 0}, {1, 0}), 2.0);
   EXPECT_DOUBLE_EQ(PointSegmentDistance({0, 0}, {0, 0}, {0, 0}), 0.0);
+  EXPECT_DOUBLE_EQ(PointSegmentSquaredDistance({3, 1}, {-1, 0}, {1, 0}), 5.0);
 }
 
 TEST(Vec2Test, Arithmetic) {

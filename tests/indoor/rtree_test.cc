@@ -114,7 +114,9 @@ TEST(RTreeTest, NearestTraversalStopsWhenVisitorReturnsFalse) {
   int visits = 0;
   tree.NearestTraversal(
       {50, 50},
-      [&](int32_t payload) { return entries[payload].box.Distance({50, 50}); },
+      [&](int32_t payload) {
+        return entries[payload].box.SquaredDistance({50, 50});
+      },
       [&](int32_t, double) { return ++visits < 5; });
   EXPECT_EQ(visits, 5);
 }
