@@ -386,6 +386,8 @@ void WriteJson(const std::string& path,
   out.precision(6);
   out << "{\n";
   out << "  \"benchmark\": \"micro_analytics\",\n";
+  bench::WriteMachine(out);
+  out << ",\n";
   bench::WriteRunsArray(out, runs,
                         [](std::ostream&, const bench::CapturedRun&) {});
   out << "\n";

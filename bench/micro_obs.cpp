@@ -311,6 +311,8 @@ void WriteJson(const std::string& path, const std::vector<CapturedRun>& runs,
   out.precision(6);
   out << "{\n";
   out << "  \"benchmark\": \"micro_obs\",\n";
+  bench::WriteMachine(out);
+  out << ",\n";
   out << "  \"metric_write_allocs\": {\n";
   out << "    \"writes_checked\": " << alloc_stats.writes_checked << ",\n";
   out << "    \"allocs\": " << alloc_stats.allocs << "\n";

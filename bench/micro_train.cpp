@@ -193,6 +193,8 @@ void WriteJson(const std::string& path, const std::vector<CapturedRun>& runs,
   if (const char* commit = std::getenv("C2MN_BENCH_BASELINE_COMMIT")) {
     out << "  \"baseline_commit\": \"" << EscapeJson(commit) << "\",\n";
   }
+  bench::WriteMachine(out);
+  out << ",\n";
   out << "  \"determinism\": {\n";
   out << "    \"bit_identical_across_thread_counts\": "
       << (check.bit_identical ? "true" : "false") << ",\n";

@@ -750,10 +750,6 @@ AnalyticsSnapshot AnalyticsEngine::Snapshot() const {
   snapshot.preagg_pair_queries = preagg_pair_queries_total_->Value();
   snapshot.scan_region_queries = scan_region_queries_total_->Value();
   snapshot.scan_pair_queries = scan_pair_queries_total_->Value();
-  snapshot.preagg_queries =
-      snapshot.preagg_region_queries + snapshot.preagg_pair_queries;
-  snapshot.scan_queries =
-      snapshot.scan_region_queries + snapshot.scan_pair_queries;
   snapshot.window_rotations = window_rotations_total_->Value();
   snapshot.window_expired_visits = window_expired_total_->Value();
   // The atomic mirrors, not subs_mu_: a standing-query delta callback

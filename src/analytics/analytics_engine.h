@@ -68,14 +68,10 @@ struct AnalyticsSnapshot {
   double watermark_seconds = 0.0;
   /// Top-k polls answered from the pre-aggregated sketches vs. by
   /// scanning retained visits (a query falls back to the scan when its
-  /// window or threshold does not match the maintained spec).  The
-  /// totals are the sums of the per-kind splits below.
-  uint64_t preagg_queries = 0;
-  uint64_t scan_queries = 0;
-  /// The same counts split by query kind (region vs pair polls), so the
-  /// pair fast path is assertable on its own — the bench guard needs to
-  /// know the *pair* poll took the merge path, not just that some poll
-  /// did.
+  /// window or threshold does not match the maintained spec), split by
+  /// query kind (region vs pair polls), so the pair fast path is
+  /// assertable on its own — the bench guard needs to know the *pair*
+  /// poll took the merge path, not just that some poll did.
   uint64_t preagg_region_queries = 0;
   uint64_t preagg_pair_queries = 0;
   uint64_t scan_region_queries = 0;

@@ -2,22 +2,13 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 
-#include "common/sync.h"
-
-#if !defined(C2MN_SIMD_DISABLED)
 #if defined(__x86_64__)
-#define C2MN_SIMD_X86 1
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#define C2MN_SIMD_ARM 1
-#include <arm_neon.h>
 #endif
-#endif  // !C2MN_SIMD_DISABLED
 
 namespace c2mn {
 namespace simd {
@@ -130,168 +121,12 @@ double PolyExp(double x) {
 
 namespace {
 
-#if defined(C2MN_SIMD_X86)
-
-// ---------------------------------------------------------------------------
-// SSE2 tier (x86_64 baseline, no target attribute needed).
-// ---------------------------------------------------------------------------
-
-inline __m128d Sse2Floor(__m128d v) {
-  // Inputs are bounded (|v| < 2^31), so truncate-and-adjust is exact.
-  const __m128d t = _mm_cvtepi32_pd(_mm_cvttpd_epi32(v));
-  const __m128d adj = _mm_and_pd(_mm_cmpgt_pd(t, v), _mm_set1_pd(1.0));
-  return _mm_sub_pd(t, adj);
-}
-
-inline __m128d Sse2Blend(__m128d mask, __m128d yes, __m128d no) {
-  return _mm_or_pd(_mm_and_pd(mask, yes), _mm_andnot_pd(mask, no));
-}
-
-inline __m128d Sse2Exp(__m128d x) {
-  const __m128d big = _mm_cmpgt_pd(x, _mm_set1_pd(kExpMax));
-  const __m128d small = _mm_cmplt_pd(x, _mm_set1_pd(kExpMin));
-  const __m128d xc = _mm_min_pd(_mm_max_pd(x, _mm_set1_pd(kExpMin)),
-                                _mm_set1_pd(kExpMax));
-  const __m128d pxf = Sse2Floor(
-      _mm_add_pd(_mm_mul_pd(xc, _mm_set1_pd(kLog2e)), _mm_set1_pd(0.5)));
-  __m128d r = _mm_sub_pd(xc, _mm_mul_pd(pxf, _mm_set1_pd(kExpC1)));
-  r = _mm_sub_pd(r, _mm_mul_pd(pxf, _mm_set1_pd(kExpC2)));
-  const __m128d rr = _mm_mul_pd(r, r);
-  __m128d p = _mm_add_pd(_mm_mul_pd(_mm_set1_pd(kExpP0), rr),
-                         _mm_set1_pd(kExpP1));
-  p = _mm_add_pd(_mm_mul_pd(p, rr), _mm_set1_pd(kExpP2));
-  p = _mm_mul_pd(p, r);
-  __m128d q = _mm_add_pd(_mm_mul_pd(_mm_set1_pd(kExpQ0), rr),
-                         _mm_set1_pd(kExpQ1));
-  q = _mm_add_pd(_mm_mul_pd(q, rr), _mm_set1_pd(kExpQ2));
-  q = _mm_add_pd(_mm_mul_pd(q, rr), _mm_set1_pd(kExpQ3));
-  __m128d e = _mm_div_pd(p, _mm_sub_pd(q, p));
-  e = _mm_add_pd(_mm_set1_pd(1.0), _mm_mul_pd(_mm_set1_pd(2.0), e));
-  // Scale by 2^n in two exact power-of-two steps so |n| up to 1024 (the
-  // finite edge of double range) never overflows the exponent field.
-  const __m128i ni = _mm_cvtpd_epi32(pxf);
-  const __m128i n1 = _mm_srai_epi32(ni, 1);
-  const __m128i n2 = _mm_sub_epi32(ni, n1);
-  const __m128i n1w = _mm_unpacklo_epi32(n1, _mm_srai_epi32(n1, 31));
-  const __m128i n2w = _mm_unpacklo_epi32(n2, _mm_srai_epi32(n2, 31));
-  const __m128i bias = _mm_set1_epi64x(1023);
-  const __m128d s1 =
-      _mm_castsi128_pd(_mm_slli_epi64(_mm_add_epi64(n1w, bias), 52));
-  const __m128d s2 =
-      _mm_castsi128_pd(_mm_slli_epi64(_mm_add_epi64(n2w, bias), 52));
-  e = _mm_mul_pd(_mm_mul_pd(e, s1), s2);
-  e = Sse2Blend(big, _mm_set1_pd(kInf), e);
-  e = Sse2Blend(small, _mm_setzero_pd(), e);
-  return e;
-}
-
-double RowMaxSse2(const double* x, int n) {
-  int i = 0;
-  __m128d vm = _mm_set1_pd(-kInf);
-  for (; i + 2 <= n; i += 2) vm = _mm_max_pd(vm, _mm_loadu_pd(x + i));
-  double lanes[2];
-  _mm_storeu_pd(lanes, vm);
-  double m = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-  for (; i < n; ++i) m = x[i] > m ? x[i] : m;
-  return m;
-}
-
-void BiasAddSse2(double* x, const double* b, int n) {
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(x + i, _mm_add_pd(_mm_loadu_pd(x + i), _mm_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) x[i] += b[i];
-}
-
-void MaxPlusStepSse2(double va, const double* row, double* cur, int* back,
-                     int a, int n) {
-  int i = 0;
-  const __m128d vva = _mm_set1_pd(va);
-  const __m128i vaid = _mm_set1_epi32(a);
-  for (; i + 2 <= n; i += 2) {
-    const __m128d score = _mm_add_pd(vva, _mm_loadu_pd(row + i));
-    const __m128d old = _mm_loadu_pd(cur + i);
-    const __m128d gt = _mm_cmpgt_pd(score, old);
-    _mm_storeu_pd(cur + i, Sse2Blend(gt, score, old));
-    // Narrow the two 64-bit lane masks to 32 bits each (they are all-ones
-    // or all-zeros, so the low words suffice) and blend the back-pointers.
-    const __m128i gt32 = _mm_shuffle_epi32(_mm_castpd_si128(gt),
-                                           _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128i oldb =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(back + i));
-    const __m128i newb = _mm_or_si128(_mm_and_si128(gt32, vaid),
-                                      _mm_andnot_si128(gt32, oldb));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(back + i), newb);
-  }
-  for (; i < n; ++i) {
-    const double score = va + row[i];
-    if (score > cur[i]) {
-      cur[i] = score;
-      back[i] = a;
-    }
-  }
-}
-
-void ExpAccumulateSse2(double base, const double* row, double* acc, int n) {
-  int i = 0;
-  const __m128d vb = _mm_set1_pd(base);
-  for (; i + 2 <= n; i += 2) {
-    const __m128d e = Sse2Exp(_mm_add_pd(vb, _mm_loadu_pd(row + i)));
-    _mm_storeu_pd(acc + i, _mm_add_pd(_mm_loadu_pd(acc + i), e));
-  }
-  for (; i < n; ++i) acc[i] += internal::PolyExp(base + row[i]);
-}
-
-double SumExpShiftedSse2(const double* row, const double* v, double shift,
-                         int n) {
-  int i = 0;
-  const __m128d vs = _mm_set1_pd(shift);
-  __m128d vacc = _mm_setzero_pd();
-  for (; i + 2 <= n; i += 2) {
-    const __m128d x = _mm_sub_pd(
-        _mm_add_pd(_mm_loadu_pd(row + i), _mm_loadu_pd(v + i)), vs);
-    vacc = _mm_add_pd(vacc, Sse2Exp(x));
-  }
-  double lanes[2];
-  _mm_storeu_pd(lanes, vacc);
-  double acc = lanes[0] + lanes[1];
-  for (; i < n; ++i) acc += internal::PolyExp(row[i] + v[i] - shift);
-  return acc;
-}
-
-double ExpSumRowSse2(double m, const double* x, int n) {
-  int i = 0;
-  const __m128d vm = _mm_set1_pd(m);
-  __m128d vacc = _mm_setzero_pd();
-  for (; i + 2 <= n; i += 2) {
-    vacc = _mm_add_pd(vacc, Sse2Exp(_mm_sub_pd(_mm_loadu_pd(x + i), vm)));
-  }
-  double lanes[2];
-  _mm_storeu_pd(lanes, vacc);
-  double acc = lanes[0] + lanes[1];
-  for (; i < n; ++i) acc += internal::PolyExp(x[i] - m);
-  return acc;
-}
-
-void ExpNormalizeSse2(double* x, double lse, int n) {
-  int i = 0;
-  const __m128d vl = _mm_set1_pd(lse);
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(x + i, Sse2Exp(_mm_sub_pd(_mm_loadu_pd(x + i), vl)));
-  }
-  for (; i < n; ++i) x[i] = internal::PolyExp(x[i] - lse);
-}
-
-constexpr OpsTable kSse2Ops = {
-    RowMaxSse2,        BiasAddSse2,       MaxPlusStepSse2, ExpAccumulateSse2,
-    SumExpShiftedSse2, ExpSumRowSse2,     ExpNormalizeSse2,
-};
+#if defined(__x86_64__)
 
 // ---------------------------------------------------------------------------
 // AVX2 tier.  Per-function target attributes, so this translation unit
-// builds without -mavx2 and the scalar/SSE2 tiers stay runnable on any
-// x86_64 host; dispatch checks cpuid before ever pointing here.
+// builds without -mavx2 and the scalar tier stays runnable on any x86_64
+// host; dispatch checks cpuid before ever pointing here.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) inline __m256d Avx2Exp(__m256d x) {
@@ -446,238 +281,65 @@ constexpr OpsTable kAvx2Ops = {
     SumExpShiftedAvx2, ExpSumRowAvx2,     ExpNormalizeAvx2,
 };
 
-#endif  // C2MN_SIMD_X86
-
-#if defined(C2MN_SIMD_ARM)
-
-// ---------------------------------------------------------------------------
-// NEON tier (aarch64; 2 doubles per vector).
-// ---------------------------------------------------------------------------
-
-inline float64x2_t NeonExp(float64x2_t x) {
-  const uint64x2_t big = vcgtq_f64(x, vdupq_n_f64(kExpMax));
-  const uint64x2_t small = vcltq_f64(x, vdupq_n_f64(kExpMin));
-  const float64x2_t xc =
-      vminq_f64(vmaxq_f64(x, vdupq_n_f64(kExpMin)), vdupq_n_f64(kExpMax));
-  const float64x2_t pxf = vrndmq_f64(
-      vaddq_f64(vmulq_f64(xc, vdupq_n_f64(kLog2e)), vdupq_n_f64(0.5)));
-  float64x2_t r = vsubq_f64(xc, vmulq_f64(pxf, vdupq_n_f64(kExpC1)));
-  r = vsubq_f64(r, vmulq_f64(pxf, vdupq_n_f64(kExpC2)));
-  const float64x2_t rr = vmulq_f64(r, r);
-  float64x2_t p =
-      vaddq_f64(vmulq_f64(vdupq_n_f64(kExpP0), rr), vdupq_n_f64(kExpP1));
-  p = vaddq_f64(vmulq_f64(p, rr), vdupq_n_f64(kExpP2));
-  p = vmulq_f64(p, r);
-  float64x2_t q =
-      vaddq_f64(vmulq_f64(vdupq_n_f64(kExpQ0), rr), vdupq_n_f64(kExpQ1));
-  q = vaddq_f64(vmulq_f64(q, rr), vdupq_n_f64(kExpQ2));
-  q = vaddq_f64(vmulq_f64(q, rr), vdupq_n_f64(kExpQ3));
-  float64x2_t e = vdivq_f64(p, vsubq_f64(q, p));
-  e = vaddq_f64(vdupq_n_f64(1.0), vmulq_f64(vdupq_n_f64(2.0), e));
-  const int64x2_t ni = vcvtq_s64_f64(pxf);
-  const int64x2_t n1 = vshrq_n_s64(ni, 1);
-  const int64x2_t n2 = vsubq_s64(ni, n1);
-  const int64x2_t bias = vdupq_n_s64(1023);
-  const float64x2_t s1 =
-      vreinterpretq_f64_s64(vshlq_n_s64(vaddq_s64(n1, bias), 52));
-  const float64x2_t s2 =
-      vreinterpretq_f64_s64(vshlq_n_s64(vaddq_s64(n2, bias), 52));
-  e = vmulq_f64(vmulq_f64(e, s1), s2);
-  e = vbslq_f64(big, vdupq_n_f64(kInf), e);
-  e = vbslq_f64(small, vdupq_n_f64(0.0), e);
-  return e;
-}
-
-double RowMaxNeon(const double* x, int n) {
-  int i = 0;
-  float64x2_t vm = vdupq_n_f64(-kInf);
-  for (; i + 2 <= n; i += 2) vm = vmaxq_f64(vm, vld1q_f64(x + i));
-  double m = vgetq_lane_f64(vm, 0);
-  const double m1 = vgetq_lane_f64(vm, 1);
-  m = m1 > m ? m1 : m;
-  for (; i < n; ++i) m = x[i] > m ? x[i] : m;
-  return m;
-}
-
-void BiasAddNeon(double* x, const double* b, int n) {
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(x + i, vaddq_f64(vld1q_f64(x + i), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) x[i] += b[i];
-}
-
-void MaxPlusStepNeon(double va, const double* row, double* cur, int* back,
-                     int a, int n) {
-  int i = 0;
-  const float64x2_t vva = vdupq_n_f64(va);
-  const int32x2_t vaid = vdup_n_s32(a);
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t score = vaddq_f64(vva, vld1q_f64(row + i));
-    const float64x2_t old = vld1q_f64(cur + i);
-    const uint64x2_t gt = vcgtq_f64(score, old);
-    vst1q_f64(cur + i, vbslq_f64(gt, score, old));
-    const uint32x2_t gt32 = vmovn_u64(gt);
-    const int32x2_t oldb = vld1_s32(back + i);
-    vst1_s32(back + i, vbsl_s32(gt32, vaid, oldb));
-  }
-  for (; i < n; ++i) {
-    const double score = va + row[i];
-    if (score > cur[i]) {
-      cur[i] = score;
-      back[i] = a;
-    }
-  }
-}
-
-void ExpAccumulateNeon(double base, const double* row, double* acc, int n) {
-  int i = 0;
-  const float64x2_t vb = vdupq_n_f64(base);
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t e = NeonExp(vaddq_f64(vb, vld1q_f64(row + i)));
-    vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), e));
-  }
-  for (; i < n; ++i) acc[i] += internal::PolyExp(base + row[i]);
-}
-
-double SumExpShiftedNeon(const double* row, const double* v, double shift,
-                         int n) {
-  int i = 0;
-  const float64x2_t vs = vdupq_n_f64(shift);
-  float64x2_t vacc = vdupq_n_f64(0.0);
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t x =
-        vsubq_f64(vaddq_f64(vld1q_f64(row + i), vld1q_f64(v + i)), vs);
-    vacc = vaddq_f64(vacc, NeonExp(x));
-  }
-  double acc = vgetq_lane_f64(vacc, 0) + vgetq_lane_f64(vacc, 1);
-  for (; i < n; ++i) acc += internal::PolyExp(row[i] + v[i] - shift);
-  return acc;
-}
-
-double ExpSumRowNeon(double m, const double* x, int n) {
-  int i = 0;
-  const float64x2_t vm = vdupq_n_f64(m);
-  float64x2_t vacc = vdupq_n_f64(0.0);
-  for (; i + 2 <= n; i += 2) {
-    vacc = vaddq_f64(vacc, NeonExp(vsubq_f64(vld1q_f64(x + i), vm)));
-  }
-  double acc = vgetq_lane_f64(vacc, 0) + vgetq_lane_f64(vacc, 1);
-  for (; i < n; ++i) acc += internal::PolyExp(x[i] - m);
-  return acc;
-}
-
-void ExpNormalizeNeon(double* x, double lse, int n) {
-  int i = 0;
-  const float64x2_t vl = vdupq_n_f64(lse);
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(x + i, NeonExp(vsubq_f64(vld1q_f64(x + i), vl)));
-  }
-  for (; i < n; ++i) x[i] = internal::PolyExp(x[i] - lse);
-}
-
-constexpr OpsTable kNeonOps = {
-    RowMaxNeon,        BiasAddNeon,       MaxPlusStepNeon, ExpAccumulateNeon,
-    SumExpShiftedNeon, ExpSumRowNeon,     ExpNormalizeNeon,
-};
-
-#endif  // C2MN_SIMD_ARM
+#endif  // __x86_64__
 
 // ---------------------------------------------------------------------------
 // Dispatch.
 // ---------------------------------------------------------------------------
 
 bool LevelSupported(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return true;
-#if defined(C2MN_SIMD_X86)
-    case Level::kSSE2:
-      return true;  // x86_64 baseline
-    case Level::kAVX2:
-      return __builtin_cpu_supports("avx2");
+#if defined(__x86_64__)
+  if (level == Level::kAVX2) return __builtin_cpu_supports("avx2");
 #endif
-#if defined(C2MN_SIMD_ARM)
-    case Level::kNEON:
-      return true;  // aarch64 baseline
-#endif
-    default:
-      return false;
-  }
+  return level == Level::kScalar;
 }
 
 const OpsTable* TableFor(Level level) {
-  switch (level) {
-#if defined(C2MN_SIMD_X86)
-    case Level::kSSE2:
-      return &kSse2Ops;
-    case Level::kAVX2:
-      return &kAvx2Ops;
+#if defined(__x86_64__)
+  if (level == Level::kAVX2) return &kAvx2Ops;
 #endif
-#if defined(C2MN_SIMD_ARM)
-    case Level::kNEON:
-      return &kNeonOps;
-#endif
-    default:
-      return &kScalarOps;
-  }
+  return &kScalarOps;
 }
 
-Level ParseLevelName(const char* s) {
-  if (std::strcmp(s, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(s, "sse2") == 0) return Level::kSSE2;
-  if (std::strcmp(s, "avx2") == 0) return Level::kAVX2;
-  if (std::strcmp(s, "neon") == 0) return Level::kNEON;
-  return Level(-1);
-}
-
-Mutex g_dispatch_mu{LockRank::kSimdDispatch, "simd::g_dispatch_mu"};
+/// The table every kernel call goes through.  Constant-initialized to
+/// null, so the hot path is one load and a null test, and filled on first
+/// use by FirstUse(); ForceLevel() replaces it afterwards.
 std::atomic<const OpsTable*> g_ops{nullptr};
-std::atomic<int> g_level{-1};
 
-const OpsTable* EnsureDispatch() {
-  const OpsTable* t = g_ops.load(std::memory_order_acquire);
-  if (t != nullptr) return t;
-  MutexLock lock(&g_dispatch_mu);
-  t = g_ops.load(std::memory_order_acquire);
-  if (t != nullptr) return t;
-  Level level = DetectedLevel();
-  if (const char* env = std::getenv("C2MN_SIMD")) {
-    if (*env != '\0' && std::strcmp(env, "auto") != 0) {
-      const Level forced = ParseLevelName(env);
-      // Unknown or unsupported values silently keep auto-detection: an
-      // env var must never turn a working binary into a crashing one.
-      if (forced != Level(-1) && LevelSupported(forced)) level = forced;
-    }
-  }
-  t = TableFor(level);
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-  g_ops.store(t, std::memory_order_release);
-  return t;
+/// Picks the table once, through a function-local static: DetectedLevel()
+/// unless C2MN_SIMD=scalar pins the reference tier.  Any other value
+/// (including "auto") keeps detection, so the variable can never turn a
+/// working binary into a crashing one.  A ForceLevel() that got in first
+/// wins.  Out of line so the kernel entry points stay a tail call.
+__attribute__((noinline, cold)) const OpsTable* FirstUse() {
+  static const OpsTable* const picked = [] {
+    const char* env = std::getenv("C2MN_SIMD");
+    const bool scalar = env != nullptr && std::strcmp(env, "scalar") == 0;
+    return TableFor(scalar ? Level::kScalar : DetectedLevel());
+  }();
+  const OpsTable* expected = nullptr;
+  g_ops.compare_exchange_strong(expected, picked, std::memory_order_relaxed);
+  return g_ops.load(std::memory_order_relaxed);
+}
+
+inline const OpsTable* Active() {
+  const OpsTable* t = g_ops.load(std::memory_order_relaxed);
+  return t != nullptr ? t : FirstUse();
 }
 
 }  // namespace
 
 Level DetectedLevel() {
-#if defined(C2MN_SIMD_X86)
-  return __builtin_cpu_supports("avx2") ? Level::kAVX2 : Level::kSSE2;
-#elif defined(C2MN_SIMD_ARM)
-  return Level::kNEON;
-#else
-  return Level::kScalar;
-#endif
+  return LevelSupported(Level::kAVX2) ? Level::kAVX2 : Level::kScalar;
 }
 
 Level ActiveLevel() {
-  EnsureDispatch();
-  return static_cast<Level>(g_level.load(std::memory_order_relaxed));
+  return Active() == &kScalarOps ? Level::kScalar : Level::kAVX2;
 }
 
 bool ForceLevel(Level level) {
   if (!LevelSupported(level)) return false;
-  MutexLock lock(&g_dispatch_mu);
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-  g_ops.store(TableFor(level), std::memory_order_release);
+  g_ops.store(TableFor(level), std::memory_order_relaxed);
   return true;
 }
 
@@ -685,41 +347,35 @@ const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSSE2:
-      return "sse2";
     case Level::kAVX2:
       return "avx2";
-    case Level::kNEON:
-      return "neon";
   }
   return "unknown";
 }
 
-double RowMax(const double* x, int n) { return EnsureDispatch()->row_max(x, n); }
+double RowMax(const double* x, int n) { return Active()->row_max(x, n); }
 
-void BiasAdd(double* x, const double* b, int n) {
-  EnsureDispatch()->bias_add(x, b, n);
-}
+void BiasAdd(double* x, const double* b, int n) { Active()->bias_add(x, b, n); }
 
 void MaxPlusStep(double va, const double* row, double* cur, int* back, int a,
                  int n) {
-  EnsureDispatch()->max_plus_step(va, row, cur, back, a, n);
+  Active()->max_plus_step(va, row, cur, back, a, n);
 }
 
 void ExpAccumulate(double base, const double* row, double* acc, int n) {
-  EnsureDispatch()->exp_accumulate(base, row, acc, n);
+  Active()->exp_accumulate(base, row, acc, n);
 }
 
 double SumExpShifted(const double* row, const double* v, double shift, int n) {
-  return EnsureDispatch()->sum_exp_shifted(row, v, shift, n);
+  return Active()->sum_exp_shifted(row, v, shift, n);
 }
 
 double ExpSumRow(double m, const double* x, int n) {
-  return EnsureDispatch()->exp_sum_row(m, x, n);
+  return Active()->exp_sum_row(m, x, n);
 }
 
 void ExpNormalize(double* x, double lse, int n) {
-  EnsureDispatch()->exp_normalize(x, lse, n);
+  Active()->exp_normalize(x, lse, n);
 }
 
 }  // namespace simd

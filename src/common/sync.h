@@ -107,8 +107,8 @@ namespace c2mn {
 /// The lattice encodes, among others, the PR-5 standing-query order
 /// (subscribers list -> one subscription -> one analytics shard; the
 /// inversion of the last two was the TSan-caught deadlock) and keeps the
-/// observability and dispatch leaves below everything that can call out
-/// to user code.  kUnranked locks (the default) skip order checking but
+/// observability leaves below everything that can call out to user
+/// code.  kUnranked locks (the default) skip order checking but
 /// still detect same-mutex recursive acquisition.
 enum class LockRank : int {
   kUnranked = 0,
@@ -144,11 +144,10 @@ enum class LockRank : int {
   kStorageLog = 680,
   kServiceDrain = 700,
 
-  // Observability + dispatch leaves: safe to take from anywhere, must
-  // never take anything above themselves.
+  // Observability leaves: safe to take from anywhere, must never take
+  // anything above themselves.
   kObsSlowOps = 800,
   kObsRegistry = 900,
-  kSimdDispatch = 1000,
 };
 
 namespace sync_internal {

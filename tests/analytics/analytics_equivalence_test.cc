@@ -144,8 +144,9 @@ class AnalyticsEquivalenceTest : public ::testing::Test {
     // must have been served by the pre-aggregated sketches, the sliced
     // windows by the scan fallback.
     replay.snapshot = service.AnalyticsStats();
-    EXPECT_GE(replay.snapshot.preagg_queries, 2u);
-    EXPECT_GE(replay.snapshot.scan_queries, 2u);
+    const AnalyticsSnapshot& snap = replay.snapshot;
+    EXPECT_GE(snap.preagg_region_queries + snap.preagg_pair_queries, 2u);
+    EXPECT_GE(snap.scan_region_queries + snap.scan_pair_queries, 2u);
     return replay;
   }
 

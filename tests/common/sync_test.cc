@@ -115,7 +115,7 @@ TEST(SyncLockRankTest, HandlerCapturesBothAcquisitionSites) {
 TEST(SyncLockRankTest, TryLockParticipatesInRankChecking) {
   std::string message;
   ScopedViolationCapture capture(&message);
-  Mutex high(LockRank::kSimdDispatch, "dispatch_mu");
+  Mutex high(LockRank::kObsRegistry, "registry_mu");
   Mutex low(LockRank::kObsSlowOps, "slow_mu");
   high.Lock();
   ASSERT_TRUE(low.TryLock());  // Succeeds but reports the undeclared edge.

@@ -372,8 +372,8 @@ TEST(FlatChainTest, ArenaReuseDoesNotGrowAfterWarmup) {
 // SIMD tier equivalence.  Every kernel dispatches through simd::ActiveLevel;
 // these tests force each tier the host supports in turn and require labels
 // identical to (and quantities within 1e-9 of) the scalar tier, across the
-// shapes that stress lane handling: domain 1, odd domains, lane-width ±1,
-// tie-heavy potentials, and ±inf node biases.
+// shapes that stress lane handling: domain 1, odd domains, the AVX2 lane
+// width ±1, tie-heavy potentials, and ±inf node biases.
 // ---------------------------------------------------------------------------
 
 /// Restores the dispatch tier active at construction (tests force tiers).
@@ -389,8 +389,7 @@ class ScopedSimdLevel {
 std::vector<simd::Level> SupportedLevels() {
   ScopedSimdLevel restore;
   std::vector<simd::Level> levels;
-  for (simd::Level level : {simd::Level::kScalar, simd::Level::kSSE2,
-                            simd::Level::kAVX2, simd::Level::kNEON}) {
+  for (simd::Level level : {simd::Level::kScalar, simd::Level::kAVX2}) {
     if (simd::ForceLevel(level)) levels.push_back(level);
   }
   return levels;
@@ -443,7 +442,7 @@ void ExpectTiersAgree(const ChainPotentials& pots, const double* bias,
 }
 
 TEST(FlatChainSimdTest, TiersAgreeAcrossAwkwardDomainSizes) {
-  // Domains hit 1, odd sizes, and the AVX2 (4) / SSE2 (2) lane widths ±1.
+  // Domains 1..9 hit 1, odd sizes, and the AVX2 lane width (4) ±1.
   Rng rng(404);
   for (int rep = 0; rep < 12; ++rep) {
     const int len = 1 + static_cast<int>(rng.UniformInt(uint64_t{14}));
@@ -517,9 +516,9 @@ TEST(FlatChainSimdTest, TiersAgreeWithInfiniteNodeBias) {
 }
 
 TEST(FlatChainSimdTest, ForcedScalarFallbackStaysExercised) {
-  // The dispatch override must reach the scalar tier on any host — this
-  // is what CI's SIMD-off leg relies on — and the scalar kernels must
-  // reproduce the legacy nested reference exactly.
+  // The dispatch override must reach the scalar tier on any host — the
+  // same tier C2MN_SIMD=scalar pins for CI's sanitizer reruns — and the
+  // scalar kernels must reproduce the legacy nested reference exactly.
   ScopedSimdLevel restore;
   ASSERT_TRUE(simd::ForceLevel(simd::Level::kScalar));
   EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);

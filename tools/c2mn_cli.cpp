@@ -580,8 +580,9 @@ int Analytics(const Args& args) {
   std::printf("queries: %" PRIu64 " pre-aggregated (regions %" PRIu64
               ", pairs %" PRIu64 "), %" PRIu64 " scanned (regions %" PRIu64
               ", pairs %" PRIu64 ")\n",
-              snap.preagg_queries, snap.preagg_region_queries,
-              snap.preagg_pair_queries, snap.scan_queries,
+              snap.preagg_region_queries + snap.preagg_pair_queries,
+              snap.preagg_region_queries, snap.preagg_pair_queries,
+              snap.scan_region_queries + snap.scan_pair_queries,
               snap.scan_region_queries, snap.scan_pair_queries);
   if (follow) {
     std::printf("standing queries: %zu subscribed, %" PRIu64
