@@ -225,6 +225,13 @@ AnalyticsEngine::AnalyticsEngine(Options options)
       "c2mn_query_topk_total",
       "Top-k polls by serving path and query kind",
       {{"kind", "pairs"}, {"path", "scan"}});
+  merge_early_exit_total_ = registry_->GetCounter(
+      "c2mn_analytics_merge_early_exit_total",
+      "Pre-aggregated top-k polls whose threshold merge stopped early");
+  merge_fallback_total_ = registry_->GetCounter(
+      "c2mn_analytics_merge_fallback_total",
+      "Pre-aggregated top-k polls whose threshold merge ran out of budget "
+      "and fell back to the exact key merge");
   window_rotations_total_ = registry_->GetCounter(
       "c2mn_analytics_window_rotations_total",
       "Watermark bucket rotations absorbed by sliding standing queries");
@@ -635,11 +642,14 @@ std::vector<RegionId> AnalyticsEngine::TopKPopularRegions(
       preagg_region_queries_total_->Increment();
       const std::unordered_set<RegionId> query_set(query_regions.begin(),
                                                    query_regions.end());
+      query::MergeStats merge;
       auto answer = query::ThresholdMergeTopK(
           views, k,
           [&query_set](const RegionId& region) {
             return query_set.count(region) > 0;
-          });
+          },
+          &merge);
+      CountMerge(merge);
       preagg_fold_seconds_->Observe(fold_watch.ElapsedSeconds());
       return answer;
     }
@@ -673,12 +683,15 @@ AnalyticsEngine::TopKFrequentRegionPairs(
       // exact.
       const std::unordered_set<RegionId> query_set(query_regions.begin(),
                                                    query_regions.end());
+      query::MergeStats merge;
       auto answer = query::ThresholdMergeTopK(
           views, k,
           [&query_set](const RegionPair& pair) {
             return query_set.count(pair.first) > 0 &&
                    query_set.count(pair.second) > 0;
-          });
+          },
+          &merge);
+      CountMerge(merge);
       preagg_fold_seconds_->Observe(fold_watch.ElapsedSeconds());
       return answer;
     }
@@ -694,6 +707,11 @@ AnalyticsEngine::TopKFrequentRegionPairs(
   auto answer = sketch.TopKPairs(k);
   scan_fold_seconds_->Observe(fold_watch.ElapsedSeconds());
   return answer;
+}
+
+void AnalyticsEngine::CountMerge(const query::MergeStats& merge) const {
+  if (merge.early_exit) merge_early_exit_total_->Increment();
+  if (merge.fell_back) merge_fallback_total_->Increment();
 }
 
 AnalyticsSnapshot AnalyticsEngine::Snapshot() const {

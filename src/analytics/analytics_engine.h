@@ -352,6 +352,8 @@ class AnalyticsEngine {
   /// time, so buckets entirely before the window's start are skipped.
   template <typename Fn>
   void ForEachRetainedVisit(const TimeWindow& window, Fn&& fn) const;
+  /// Folds one threshold merge's outcome into the merge counters.
+  void CountMerge(const query::MergeStats& merge) const;
   /// Collects each shard's count-descending counter snapshot (region or
   /// pair, by Key) for the bounded threshold merge, validating window
   /// coverage from the retained-visit time bounds in the same per-shard
@@ -390,6 +392,11 @@ class AnalyticsEngine {
   obs::Counter* preagg_pair_queries_total_ = nullptr;
   obs::Counter* scan_region_queries_total_ = nullptr;
   obs::Counter* scan_pair_queries_total_ = nullptr;
+  /// How the pre-aggregated polls' threshold merges ended: early exit
+  /// (the cheap case) or budget fallback (a flattening count
+  /// distribution; visible here before poll latency moves).
+  obs::Counter* merge_early_exit_total_ = nullptr;
+  obs::Counter* merge_fallback_total_ = nullptr;
   /// Sliding-window standing queries: bucket rotations absorbed and
   /// visits expired out of trailing windows, across all subscriptions.
   obs::Counter* window_rotations_total_ = nullptr;

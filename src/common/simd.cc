@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -35,6 +36,14 @@ constexpr double kExpQ2 = 2.27265548208155028766E-1;
 constexpr double kExpQ3 = 2.00000000000000000005E0;
 constexpr double kExpMax = 709.782712893383996843;
 constexpr double kExpMin = simd::kExpFlushMin;
+
+/// 2^k for k in [-1022, 1023], built from its exponent bits.
+inline double Pow2(int k) {
+  const uint64_t bits = static_cast<uint64_t>(k + 1023) << 52;
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
 
 struct OpsTable {
   double (*row_max)(const double*, int);
@@ -114,7 +123,12 @@ double PolyExp(double x) {
   const double p = r * ((kExpP0 * rr + kExpP1) * rr + kExpP2);
   const double q = (((kExpQ0 * rr + kExpQ1) * rr + kExpQ2) * rr + kExpQ3);
   const double e = 1.0 + 2.0 * (p / (q - p));
-  return std::ldexp(e, n);
+  // e * 2^n in two power-of-two steps, as Avx2Exp scales its lanes: n
+  // lies in [-1022, 1024], so both halves lie in [-511, 512] and e * 2^n1
+  // is exact; the result is e * 2^n rounded once, which is what
+  // std::ldexp(e, n) returns, without the libm call.
+  const int n1 = n >> 1;
+  return e * Pow2(n1) * Pow2(n - n1);
 }
 
 }  // namespace internal
@@ -127,6 +141,15 @@ namespace {
 // AVX2 tier.  Per-function target attributes, so this translation unit
 // builds without -mavx2 and the scalar tier stays runnable on any x86_64
 // host; dispatch checks cpuid before ever pointing here.
+//
+// The exp kernels finish their n % 4 tail with one masked vector step.
+// Each Avx2Exp lane is bit-identical to internal::PolyExp (same
+// operations in the same order), so results are exactly those of a
+// scalar PolyExp tail, and the sums still add tail terms one by one
+// after the lane reduction.  A scalar tail calling PolyExp (legacy-SSE
+// code) with dirty upper ymm halves paid an AVX/SSE transition penalty
+// per element, which made a domain-10 max-marginal decode about 3x
+// slower than a domain-12 one.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) inline __m256d Avx2Exp(__m256d x) {
@@ -162,6 +185,18 @@ __attribute__((target("avx2"))) inline __m256d Avx2Exp(__m256d x) {
   e = _mm256_blendv_pd(e, _mm256_set1_pd(kInf), big);
   e = _mm256_blendv_pd(e, _mm256_setzero_pd(), small);
   return e;
+}
+
+/// Lanes [0, rem) of a four-lane mask, for rem in [1, 3].
+__attribute__((target("avx2"))) inline __m256i TailMask(int rem) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(rem),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// acc += lanes[0] + ... + lanes[rem - 1], left to right.
+inline double AddLanes(double acc, const double* lanes, int rem) {
+  for (int j = 0; j < rem; ++j) acc += lanes[j];
+  return acc;
 }
 
 __attribute__((target("avx2"))) double RowMaxAvx2(const double* x, int n) {
@@ -228,7 +263,13 @@ __attribute__((target("avx2"))) void ExpAccumulateAvx2(double base,
     const __m256d e = Avx2Exp(_mm256_add_pd(vb, _mm256_loadu_pd(row + i)));
     _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), e));
   }
-  for (; i < n; ++i) acc[i] += internal::PolyExp(base + row[i]);
+  if (i < n) {
+    const __m256i m = TailMask(n - i);
+    const __m256d e =
+        Avx2Exp(_mm256_add_pd(vb, _mm256_maskload_pd(row + i, m)));
+    _mm256_maskstore_pd(acc + i, m,
+                        _mm256_add_pd(_mm256_maskload_pd(acc + i, m), e));
+  }
 }
 
 __attribute__((target("avx2"))) double SumExpShiftedAvx2(const double* row,
@@ -245,7 +286,15 @@ __attribute__((target("avx2"))) double SumExpShiftedAvx2(const double* row,
   double lanes[4];
   _mm256_storeu_pd(lanes, vacc);
   double acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) acc += internal::PolyExp(row[i] + v[i] - shift);
+  if (i < n) {
+    const __m256i m = TailMask(n - i);
+    const __m256d x = _mm256_sub_pd(
+        _mm256_add_pd(_mm256_maskload_pd(row + i, m),
+                      _mm256_maskload_pd(v + i, m)),
+        vs);
+    _mm256_storeu_pd(lanes, Avx2Exp(x));
+    acc = AddLanes(acc, lanes, n - i);
+  }
   return acc;
 }
 
@@ -261,7 +310,12 @@ __attribute__((target("avx2"))) double ExpSumRowAvx2(double m, const double* x,
   double lanes[4];
   _mm256_storeu_pd(lanes, vacc);
   double acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) acc += internal::PolyExp(x[i] - m);
+  if (i < n) {
+    const __m256i mask = TailMask(n - i);
+    _mm256_storeu_pd(
+        lanes, Avx2Exp(_mm256_sub_pd(_mm256_maskload_pd(x + i, mask), vm)));
+    acc = AddLanes(acc, lanes, n - i);
+  }
   return acc;
 }
 
@@ -273,7 +327,11 @@ __attribute__((target("avx2"))) void ExpNormalizeAvx2(double* x, double lse,
     _mm256_storeu_pd(x + i,
                      Avx2Exp(_mm256_sub_pd(_mm256_loadu_pd(x + i), vl)));
   }
-  for (; i < n; ++i) x[i] = internal::PolyExp(x[i] - lse);
+  if (i < n) {
+    const __m256i m = TailMask(n - i);
+    _mm256_maskstore_pd(
+        x + i, m, Avx2Exp(_mm256_sub_pd(_mm256_maskload_pd(x + i, m), vl)));
+  }
 }
 
 constexpr OpsTable kAvx2Ops = {

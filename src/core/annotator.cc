@@ -60,7 +60,10 @@ void C2mnAnnotator::BuildRegionPotentials(const SequenceGraph& g,
       }
     }
   }
-  ws->region_pots.PrecomputeEdgeMax(&ws->arena);
+  // Only the max-marginal decode reads the cached edge exps.
+  if (iopts_.use_max_marginals) {
+    ws->region_pots.PrecomputeEdgeExp(&ws->arena);
+  }
 }
 
 void C2mnAnnotator::DecodeRegions(const JointScorer& scorer,
@@ -148,7 +151,10 @@ void C2mnAnnotator::BuildEventPotentials(const SequenceGraph& g,
       }
     }
   }
-  ws->event_pots.PrecomputeEdgeMax(&ws->arena);
+  // Only the max-marginal decode reads the cached edge exps.
+  if (iopts_.use_max_marginals) {
+    ws->event_pots.PrecomputeEdgeExp(&ws->arena);
+  }
 }
 
 void C2mnAnnotator::DecodeEvents(const JointScorer& scorer,

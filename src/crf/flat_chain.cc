@@ -102,19 +102,23 @@ FlatChainPotentials FlatChainPotentials::FromNested(
   return p;
 }
 
-void FlatChainPotentials::PrecomputeEdgeMax(InferenceArena* arena) {
+void FlatChainPotentials::PrecomputeEdgeExp(InferenceArena* arena) {
   if (n <= 1) return;
   double* em = arena->Alloc<double>(static_cast<size_t>(n) - 1);
+  double* ee = arena->Alloc<double>(edge_total);
   for (int i = 0; i + 1 < n; ++i) {
-    if (i > 0 && edge_off[i] == edge_off[i - 1] &&
-        domains[i + 1] == domains[i]) {
+    if (i > 0 && edge_off[i] == edge_off[i - 1]) {
       em[i] = em[i - 1];  // tied edges share one block
       continue;
     }
-    em[i] = MaxOf(EdgeBlock(i),
-                  static_cast<size_t>(domains[i]) * domains[i + 1]);
+    const size_t size = static_cast<size_t>(domains[i]) * domains[i + 1];
+    em[i] = MaxOf(EdgeBlock(i), size);
+    double* block = ee + edge_off[i];
+    std::copy(EdgeBlock(i), EdgeBlock(i) + size, block);
+    simd::ExpNormalize(block, em[i], static_cast<int>(size));
   }
   edge_max = em;
+  edge_exp = ee;
 }
 
 void FlatViterbi(const FlatChainPotentials& p, const double* node_bias,
@@ -168,9 +172,7 @@ void ForwardMessages(const FlatChainPotentials& p, const double* node_bias,
     const double* prev = alpha + p.node_off[i - 1];
     double* cur = alpha + p.node_off[i];
     const double* edge = p.EdgeBlock(i - 1);
-    const double edge_mx =
-        p.edge_max != nullptr ? p.edge_max[i - 1]
-                              : MaxOf(edge, static_cast<size_t>(da) * db);
+    const double edge_mx = MaxOf(edge, static_cast<size_t>(da) * db);
     const double max_prev = MaxOf(prev, da);
     const double shift = max_prev + edge_mx;
     ws->local.assign(db, 0.0);
@@ -219,9 +221,7 @@ void BackwardMessages(const FlatChainPotentials& p, const double* node_bias,
     double* v = ws->local.data();
     const size_t off = p.node_off[i];
     for (int b = 0; b < db; ++b) v[b] = NodeValue(p, node_bias, off + b) + cur[b];
-    const double edge_mx =
-        p.edge_max != nullptr ? p.edge_max[i - 1]
-                              : MaxOf(edge, static_cast<size_t>(da) * db);
+    const double edge_mx = MaxOf(edge, static_cast<size_t>(da) * db);
     const double shift = MaxOf(v, db) + edge_mx;
     for (int a = 0; a < da; ++a) {
       const double acc =
@@ -262,10 +262,66 @@ void FlatMaxMarginalLabels(const FlatChainPotentials& p,
                            const double* node_bias, ChainWorkspace* ws,
                            std::vector<int>* out) {
   const int n = p.n;
-  ForwardMessages(p, node_bias, ws);
-  BackwardMessages(p, node_bias, ws);
-  const double* alpha = ws->val_a.data();
-  const double* beta = ws->val_b.data();
+  assert(n == 1 || p.edge_exp != nullptr);
+  ws->val_a.resize(p.node_total);
+  ws->val_b.resize(p.node_total);
+  double* alpha = ws->val_a.data();
+  double* beta = ws->val_b.data();
+  // Both passes shift by (max incoming message + edge_max), like
+  // ForwardMessages/BackwardMessages, but exponentiate the message once
+  // (w = exp(msg - max)) and reuse the cached E = exp(edge - edge_max):
+  //   forward   alpha(i, b) = shift + log(sum_a w[a] E[a][b]) + node(i, b)
+  //   backward  beta(i-1, a) = shift + log(sum_b E[a][b] u[b]),
+  // with u[b] = exp(node(i, b) + beta(i, b) - max).
+  for (int a = 0; a < p.domains[0]; ++a) alpha[a] = NodeValue(p, node_bias, a);
+  for (int i = 1; i < n; ++i) {
+    const int da = p.domains[i - 1];
+    const int db = p.domains[i];
+    const double* prev = alpha + p.node_off[i - 1];
+    double* cur = alpha + p.node_off[i];
+    const double* e = p.edge_exp + p.edge_off[i - 1];
+    ws->local.resize(static_cast<size_t>(da) + db);
+    double* w = ws->local.data();
+    double* acc = w + da;
+    const double max_prev = MaxOf(prev, da);
+    std::copy(prev, prev + da, w);
+    simd::ExpNormalize(w, max_prev, da);
+    std::fill(acc, acc + db, 0.0);
+    for (int a = 0; a < da; ++a) {
+      // On peaked chains — exactly the ones ICM sharpens round over
+      // round — most predecessor labels carry no weight at all.
+      if (w[a] == 0.0) continue;
+      const double wa = w[a];
+      const double* row = e + static_cast<size_t>(a) * db;
+      for (int b = 0; b < db; ++b) acc[b] += wa * row[b];
+    }
+    const double shift = max_prev + p.edge_max[i - 1];
+    const size_t off = p.node_off[i];
+    for (int b = 0; b < db; ++b) {
+      cur[b] = shift + std::log(acc[b]) + NodeValue(p, node_bias, off + b);
+    }
+  }
+  std::fill(beta + p.node_off[n - 1], beta + p.node_total, 0.0);
+  for (int i = n - 1; i > 0; --i) {
+    const int da = p.domains[i - 1];
+    const int db = p.domains[i];
+    double* prev = beta + p.node_off[i - 1];
+    const double* cur = beta + p.node_off[i];
+    const double* e = p.edge_exp + p.edge_off[i - 1];
+    ws->local.resize(db);
+    double* u = ws->local.data();
+    const size_t off = p.node_off[i];
+    for (int b = 0; b < db; ++b) u[b] = NodeValue(p, node_bias, off + b) + cur[b];
+    const double max_v = MaxOf(u, db);
+    simd::ExpNormalize(u, max_v, db);
+    const double shift = max_v + p.edge_max[i - 1];
+    for (int a = 0; a < da; ++a) {
+      const double* row = e + static_cast<size_t>(a) * db;
+      double acc = 0.0;
+      for (int b = 0; b < db; ++b) acc += row[b] * u[b];
+      prev[a] = shift + std::log(acc);
+    }
+  }
   out->resize(n);
   for (int i = 0; i < n; ++i) {
     const size_t off = p.node_off[i];

@@ -82,11 +82,12 @@ struct FlatChainPotentials {
   const size_t* edge_off = nullptr;  ///< [n - 1] (nullptr when n == 1).
   double* node = nullptr;
   double* edge = nullptr;
-  /// Optional [n - 1] per-position edge-block maxima (PrecomputeEdgeMax).
-  /// When set, the forward/backward passes use it for their max-shift
-  /// instead of rescanning the d_a*d_b block on every call — worthwhile
-  /// because one decode runs many marginal passes over fixed edges.
+  /// [n - 1] per-position edge-block maxima and exp(edge - edge_max),
+  /// laid out like `edge` (PrecomputeEdgeExp; nullptr until then).  One
+  /// decode runs many max-marginal passes over fixed edges, so the edge
+  /// exps are paid once per decode instead of once per pass.
   const double* edge_max = nullptr;
+  const double* edge_exp = nullptr;
   size_t node_total = 0;
   size_t edge_total = 0;
 
@@ -105,10 +106,10 @@ struct FlatChainPotentials {
   static FlatChainPotentials FromNested(const ChainPotentials& nested,
                                         InferenceArena* arena);
 
-  /// Fills edge_max from the current edge values (call after the blocks
-  /// are fully written; re-call if they change).  Exactly the maxima the
-  /// kernels would compute themselves, so results are unchanged.
-  void PrecomputeEdgeMax(InferenceArena* arena);
+  /// Fills edge_max and edge_exp from the current edge values (call after
+  /// the blocks are fully written; re-call if they change).  Required by
+  /// FlatMaxMarginalLabels; the other kernels ignore it.
+  void PrecomputeEdgeExp(InferenceArena* arena);
 };
 
 /// \brief Reusable message/back-pointer buffers for the flat kernels.
@@ -118,16 +119,16 @@ struct ChainWorkspace {
   std::vector<double> val_a;   ///< Forward messages / Viterbi scores.
   std::vector<double> val_b;   ///< Backward messages.
   std::vector<int> back;       ///< Viterbi back-pointers.
-  std::vector<double> local;   ///< Per-position scratch (max domain).
+  std::vector<double> local;   ///< Per-position scratch (up to two domains).
 };
 
 /// The flat inference kernels.  `node_bias`, when non-null, is an overlay
 /// of node_total values added to the node potentials at every use site —
 /// this is how ICM layers segmentation bonuses onto a chain without
 /// cloning it (O(n·d) touched entries instead of an O(n·d²) deep copy).
-/// All kernels are exact ports of the nested ChainModel algorithms: same
-/// tie-breaking (smallest label index wins), log-space messages with a
-/// single max-shift per position.
+/// All kernels except FlatMaxMarginalLabels are exact ports of the nested
+/// ChainModel algorithms: same tie-breaking (smallest label index wins),
+/// log-space messages with a single max-shift per position.
 
 /// Max-product decoding into `out`.
 void FlatViterbi(const FlatChainPotentials& p, const double* node_bias,
@@ -146,7 +147,10 @@ void FlatMarginals(const FlatChainPotentials& p, const double* node_bias,
 /// row, computed from the unnormalized alpha + beta sums (softmax is
 /// monotone per row, so the labels are the same while the per-row exp/log
 /// normalization is skipped entirely).  This is the decode-only fast path
-/// for callers that never read the probabilities.
+/// for callers that never read the probabilities.  Requires
+/// PrecomputeEdgeExp: messages stay in log space between positions, but
+/// each step is a mat-vec over the cached exp(edge - edge_max) block, so a
+/// position costs d exps and d logs instead of d^2 exps.
 void FlatMaxMarginalLabels(const FlatChainPotentials& p,
                            const double* node_bias, ChainWorkspace* ws,
                            std::vector<int>* out);

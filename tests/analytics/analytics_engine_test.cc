@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 namespace c2mn {
 namespace {
@@ -206,6 +208,61 @@ TEST(AnalyticsEngineTest, WindowedQueriesFilterLikeBatch) {
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(pairs[0], (std::pair<RegionId, RegionId>{1, 2}));
   EXPECT_EQ(pairs[1], (std::pair<RegionId, RegionId>{2, 3}));
+}
+
+double MetricValue(const AnalyticsEngine& engine, const std::string& name) {
+  for (const obs::MetricSnapshot& m : engine.metrics_registry().Snapshot()) {
+    if (m.name == name) return m.value;
+  }
+  ADD_FAILURE() << "metric " << name << " not registered";
+  return -1.0;
+}
+
+TEST(AnalyticsEngineTest, ThresholdMergeOutcomesAreCounted) {
+  AnalyticsEngine engine(AnalyticsEngine::Options{});
+  // Region 1: ten visits.  Regions 100..299: one visit each, a count
+  // distribution flat enough to exhaust a k = 1 merge's budget.
+  int64_t object = 0;
+  for (int i = 0; i < 10; ++i) engine.Ingest(object++, Stay(1, 0.0, 40.0));
+  std::vector<RegionId> flat;
+  for (RegionId r = 100; r < 300; ++r) {
+    engine.Ingest(object++, Stay(r, 0.0, 40.0));
+    flat.push_back(r);
+  }
+  std::vector<RegionId> all = flat;
+  all.push_back(1);
+  const TimeWindow everything{-1e6, 1e6};
+  const auto early = [&] {
+    return MetricValue(engine, "c2mn_analytics_merge_early_exit_total");
+  };
+  const auto fallback = [&] {
+    return MetricValue(engine, "c2mn_analytics_merge_fallback_total");
+  };
+  EXPECT_EQ(early(), 0.0);
+  EXPECT_EQ(fallback(), 0.0);
+
+  // 10 beats every other head: the threshold stop fires.
+  EXPECT_EQ(engine.TopKPopularRegions(all, everything, 1),
+            (std::vector<RegionId>{1}));
+  EXPECT_EQ(early(), 1.0);
+  EXPECT_EQ(fallback(), 0.0);
+
+  // 200 tied heads: the sorted-access budget runs out first.
+  EXPECT_EQ(engine.TopKPopularRegions(flat, everything, 1),
+            (std::vector<RegionId>{100}));
+  EXPECT_EQ(early(), 1.0);
+  EXPECT_EQ(fallback(), 1.0);
+
+  // Every admissible key resolved (neither outcome), and scan-served
+  // polls (a threshold other than the maintained one), leave both
+  // counters alone.
+  EXPECT_EQ(engine.TopKPopularRegions({100, 101}, everything, 5),
+            (std::vector<RegionId>{100, 101}));
+  EXPECT_EQ(engine.TopKPopularRegions(all, everything, 1, 10.0),
+            (std::vector<RegionId>{1}));
+  EXPECT_TRUE(engine.TopKFrequentRegionPairs(all, everything, 1).empty());
+  EXPECT_EQ(early(), 1.0);
+  EXPECT_EQ(fallback(), 1.0);
 }
 
 TEST(AnalyticsEngineTest, ShardCountDoesNotChangeAnswers) {

@@ -155,16 +155,24 @@ TEST(SyncLockRankTest, ReleaseUnwindsTheRankFloor) {
 
 TEST(SyncLockRankTest, UnrankedLocksSkipOrderChecking) {
   // kUnranked (the default ctor) opts out of ordering — in any nesting
-  // direction — but still catches recursive self-acquisition.
-  Mutex unranked;
-  Mutex ranked(LockRank::kServiceDrain, "drain");
+  // direction — but still catches recursive self-acquisition.  The second
+  // direction nests under a different mutex of the same rank: the rank
+  // checker sees the same unranked -> kServiceDrain nesting, while
+  // ThreadSanitizer's lock graph (which tracks mutexes, not ranks) gets no
+  // cycle to report as an inversion.  Static storage keeps these edges
+  // from outliving their mutexes: std::mutex destruction is invisible to
+  // ThreadSanitizer, so a later test's stack mutex at a reused address
+  // would inherit them and close a cycle.
+  static Mutex unranked;
+  static Mutex ranked(LockRank::kServiceDrain, "drain");
+  static Mutex ranked_peer(LockRank::kServiceDrain, "drain_peer");
   {
     MutexLock l1(&ranked);
     MutexLock l2(&unranked);
   }
   {
     MutexLock l1(&unranked);
-    MutexLock l2(&ranked);
+    MutexLock l2(&ranked_peer);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "crf/flat_chain.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -149,6 +150,24 @@ void ExpectEquivalent(const ChainPotentials& pots) {
   }
 }
 
+/// The argmax of every log-space FlatMarginals row (smallest index on
+/// ties): the labels FlatMaxMarginalLabels must reproduce.
+std::vector<int> MarginalsArgmax(const FlatChainPotentials& flat,
+                                 const double* bias, ChainWorkspace* ws) {
+  std::vector<double> marginals(flat.node_total);
+  FlatMarginals(flat, bias, ws, marginals.data());
+  std::vector<int> labels(flat.n);
+  for (int i = 0; i < flat.n; ++i) {
+    const double* row = marginals.data() + flat.node_off[i];
+    int argmax = 0;
+    for (int a = 1; a < flat.domain(i); ++a) {
+      if (row[a] > row[argmax]) argmax = a;
+    }
+    labels[i] = argmax;
+  }
+  return labels;
+}
+
 class FlatVsNested : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlatVsNested, RandomChainsMatchLegacyImplementation) {
@@ -271,6 +290,9 @@ TEST(FlatChainTest, TiedEdgesMatchPerPositionEdges) {
   EXPECT_EQ(labels, NestedViterbi(nested));
   EXPECT_NEAR(FlatLogPartition(tied, nullptr, &ws),
               NestedLogPartition(nested), 1e-9);
+  tied.PrecomputeEdgeExp(&arena);
+  FlatMaxMarginalLabels(tied, nullptr, &ws, &labels);
+  EXPECT_EQ(labels, MarginalsArgmax(tied, nullptr, &ws));
 }
 
 TEST(FlatChainTest, HmmDecodeMatchesNestedReference) {
@@ -407,7 +429,8 @@ KernelRun RunKernels(const ChainPotentials& pots, const double* bias,
                      bool marginal_safe) {
   InferenceArena arena;
   ChainWorkspace ws;
-  const FlatChainPotentials flat = FlatChainPotentials::FromNested(pots, &arena);
+  FlatChainPotentials flat = FlatChainPotentials::FromNested(pots, &arena);
+  flat.PrecomputeEdgeExp(&arena);
   KernelRun run;
   FlatViterbi(flat, bias, &ws, &run.viterbi);
   if (marginal_safe) {
@@ -527,29 +550,84 @@ TEST(FlatChainSimdTest, ForcedScalarFallbackStaysExercised) {
   ExpectEquivalent(pots);
 }
 
-TEST(FlatChainSimdTest, MaxMarginalLabelsMatchMarginalsArgmax) {
-  Rng rng(408);
-  InferenceArena arena;
-  ChainWorkspace ws;
-  for (int rep = 0; rep < 10; ++rep) {
-    const int len = 1 + static_cast<int>(rng.UniformInt(uint64_t{12}));
-    const ChainPotentials pots = RandomChain(&rng, len, 1, 6);
-    arena.Reset();
-    const FlatChainPotentials flat =
-        FlatChainPotentials::FromNested(pots, &arena);
-    std::vector<int> fast;
-    FlatMaxMarginalLabels(flat, nullptr, &ws, &fast);
-    std::vector<double> marginals(flat.node_total);
-    FlatMarginals(flat, nullptr, &ws, marginals.data());
-    for (int i = 0; i < flat.n; ++i) {
-      const double* row = marginals.data() + flat.node_off[i];
-      int argmax = 0;
-      for (int a = 1; a < flat.domain(i); ++a) {
-        if (row[a] > row[argmax]) argmax = a;
-      }
-      EXPECT_EQ(fast[i], argmax) << "position " << i;
+/// Random node-bias overlay of `scale` magnitude, laid out like the nodes.
+std::vector<double> RandomBias(Rng* rng, const ChainPotentials& pots,
+                               double scale) {
+  std::vector<double> bias;
+  for (const auto& row : pots.node) {
+    for (size_t a = 0; a < row.size(); ++a) {
+      bias.push_back(scale * rng->Uniform(-1, 1));
     }
   }
+  return bias;
+}
+
+/// Runs FlatMaxMarginalLabels on `pots` (with and without a random overlay)
+/// under every supported tier and requires the marginals' argmax.
+void ExpectMaxMarginalsMatchArgmax(const ChainPotentials& pots,
+                                   const std::vector<double>& bias) {
+  ScopedSimdLevel restore;
+  for (simd::Level level : SupportedLevels()) {
+    ASSERT_TRUE(simd::ForceLevel(level));
+    InferenceArena arena;
+    ChainWorkspace ws;
+    FlatChainPotentials flat = FlatChainPotentials::FromNested(pots, &arena);
+    flat.PrecomputeEdgeExp(&arena);
+    for (const double* b : {static_cast<const double*>(nullptr), bias.data()}) {
+      std::vector<int> fast;
+      FlatMaxMarginalLabels(flat, b, &ws, &fast);
+      EXPECT_EQ(fast, MarginalsArgmax(flat, b, &ws))
+          << simd::LevelName(level) << (b == nullptr ? "" : " with overlay");
+    }
+  }
+}
+
+TEST(FlatChainSimdTest, MaxMarginalLabelsMatchMarginalsArgmax) {
+  Rng rng(408);
+  for (int rep = 0; rep < 40; ++rep) {
+    const int len = 1 + static_cast<int>(rng.UniformInt(uint64_t{12}));
+    const ChainPotentials pots = RandomChain(&rng, len, 1, 9);
+    ExpectMaxMarginalsMatchArgmax(pots, RandomBias(&rng, pots, 1.0));
+  }
+}
+
+TEST(FlatChainSimdTest, MaxMarginalLabelsOnPeakedChains) {
+  // Node spreads of hundreds push whole predecessor rows below the exp
+  // flush threshold (the forward pass skips them), and per-block edge
+  // offsets of up to +-1000 make exp(edge) overflow or vanish unless each
+  // block is shifted by its own maximum.  The within-block edge spread
+  // stays below the flush range, as it must for the log-space reference.
+  Rng rng(411);
+  bool flushed_row_seen = false;
+  for (int rep = 0; rep < 30; ++rep) {
+    const int len = 2 + static_cast<int>(rng.UniformInt(uint64_t{11}));
+    ChainPotentials pots = RandomChain(&rng, len, 1, 9);
+    for (auto& row : pots.node) {
+      for (double& v : row) v *= 200.0;
+    }
+    for (auto& block : pots.edge) {
+      const double offset = rng.Uniform(-1000, 1000);
+      for (auto& row : block) {
+        for (double& v : row) v = 50.0 * v + offset;
+      }
+    }
+    ExpectMaxMarginalsMatchArgmax(pots, RandomBias(&rng, pots, 300.0));
+
+    InferenceArena arena;
+    ChainWorkspace ws;
+    const FlatChainPotentials flat =
+        FlatChainPotentials::FromNested(pots, &arena);
+    std::vector<double> marginals(flat.node_total);
+    FlatMarginals(flat, nullptr, &ws, marginals.data());
+    for (int i = 0; i + 1 < flat.n; ++i) {
+      const double* alpha = ws.val_a.data() + flat.node_off[i];
+      const double top = *std::max_element(alpha, alpha + flat.domain(i));
+      for (int a = 0; a < flat.domain(i); ++a) {
+        flushed_row_seen |= alpha[a] - top < simd::kExpFlushMin;
+      }
+    }
+  }
+  EXPECT_TRUE(flushed_row_seen);
 }
 
 TEST(FlatChainTest, BatchEntryPointsMatchIndividualCalls) {
