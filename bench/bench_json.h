@@ -100,8 +100,9 @@ void WriteRunsArray(std::ostream& out, const std::vector<CapturedRun>& runs,
 }
 
 /// Emits `"machine": {...}` (no trailing comma): hardware threads, CPU
-/// model (from /proc/cpuinfo where present) and the active SIMD tier, so
-/// every recorded figure names the machine it was measured on.
+/// model (from /proc/cpuinfo where present) and the kernel tier (always
+/// "scalar" now; the field stays so older files compare), so every
+/// recorded figure names the machine it was measured on.
 inline void WriteMachine(std::ostream& out) {
   std::string cpu_model = "unknown";
   std::ifstream cpuinfo("/proc/cpuinfo");

@@ -178,11 +178,11 @@ void ForwardMessages(const FlatChainPotentials& p, const double* node_bias,
     ws->local.assign(db, 0.0);
     double* acc = ws->local.data();
     for (int a = 0; a < da; ++a) {
-      // Every term of row a is at most prev[a] - max_prev (the shift
-      // already absorbs the largest edge entry), so rows below the exp
-      // flush threshold contribute exactly +0.0 and can be skipped.  On
-      // peaked chains — exactly the ones ICM sharpens round over round —
-      // most predecessor labels fall out this way.
+      // Every term of row a is at most exp(prev[a] - max_prev) (the shift
+      // already absorbs the largest edge entry), so a row below
+      // kExpFlushMin adds only subnormal std::exp values and is skipped.
+      // On peaked chains — exactly the ones ICM sharpens round over
+      // round — most predecessor labels fall out this way.
       if (prev[a] - max_prev < simd::kExpFlushMin) continue;
       simd::ExpAccumulate(prev[a] - shift, edge + static_cast<size_t>(a) * db,
                           acc, db);

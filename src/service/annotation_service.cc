@@ -158,6 +158,12 @@ void AnnotationService::RegisterMetrics() {
   decode_batches_total_ = registry_->GetCounter(
       "c2mn_service_decode_batches_total",
       "Queue drains that ran at least one parked decode back-to-back");
+  sessions_opened_total_ = registry_->GetCounter(
+      "c2mn_service_sessions_opened_total",
+      "Sessions opened (counted once the open op is queued)");
+  sessions_closed_total_ = registry_->GetCounter(
+      "c2mn_service_sessions_closed_total",
+      "Sessions closed (counted once the close op is queued)");
   sessions_open_gauge_ = registry_->GetGauge(
       "c2mn_service_sessions_open", "Sessions currently open");
 }
@@ -177,7 +183,6 @@ Status AnnotationService::OpenSession(int64_t object_id, SemanticsSink sink) {
       return Status::InvalidArgument("session " + std::to_string(object_id) +
                                      " is already open");
     }
-    ++sessions_opened_;
   }
   Op op;
   op.kind = OpKind::kOpen;
@@ -191,9 +196,9 @@ Status AnnotationService::OpenSession(int64_t object_id, SemanticsSink sink) {
     NoteOpDone();
     MutexLock lock(&registry_mu_);
     open_sessions_.erase(object_id);
-    --sessions_opened_;
     return Status::FailedPrecondition("service is stopped");
   }
+  sessions_opened_total_->Increment();
   return Status::OK();
 }
 
@@ -229,7 +234,6 @@ Status AnnotationService::CloseSession(int64_t object_id) {
       return Status::NotFound("no open session for object " +
                               std::to_string(object_id));
     }
-    ++sessions_closed_;
   }
   Op op;
   op.kind = OpKind::kClose;
@@ -242,9 +246,9 @@ Status AnnotationService::CloseSession(int64_t object_id) {
     NoteOpDone();
     MutexLock lock(&registry_mu_);
     open_sessions_.insert(object_id);
-    --sessions_closed_;
     return Status::FailedPrecondition("service is stopped");
   }
+  sessions_closed_total_->Increment();
   return Status::OK();
 }
 
@@ -658,11 +662,11 @@ ServiceStats AnnotationService::Stats() const {
   {
     MutexLock lock(&registry_mu_);
     stats.sessions_open = open_sessions_.size();
-    stats.sessions_opened = sessions_opened_;
-    stats.sessions_closed = sessions_closed_;
     sessions_open_gauge_->Set(static_cast<double>(stats.sessions_open));
   }
-  // Thin views over the registry counters the workers increment.
+  // Thin views over the registry counters.
+  stats.sessions_opened = sessions_opened_total_->Value();
+  stats.sessions_closed = sessions_closed_total_->Value();
   stats.records_submitted = records_submitted_total_->Value();
   stats.records_processed = records_processed_total_->Value();
   stats.semantics_emitted = semantics_emitted_total_->Value();

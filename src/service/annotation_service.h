@@ -247,6 +247,8 @@ class AnnotationService {
   obs::Counter* merge_mismatches_total_ = nullptr;
   obs::Counter* batched_decodes_total_ = nullptr;
   obs::Counter* decode_batches_total_ = nullptr;
+  obs::Counter* sessions_opened_total_ = nullptr;
+  obs::Counter* sessions_closed_total_ = nullptr;
   obs::Gauge* sessions_open_gauge_ = nullptr;
   std::vector<obs::Gauge*> queue_depth_gauges_;
 
@@ -288,8 +290,6 @@ class AnnotationService {
   mutable Mutex registry_mu_{LockRank::kServiceRegistry,
                              "AnnotationService::registry_mu_"};
   std::unordered_set<int64_t> open_sessions_ C2MN_GUARDED_BY(registry_mu_);
-  uint64_t sessions_opened_ C2MN_GUARDED_BY(registry_mu_) = 0;
-  uint64_t sessions_closed_ C2MN_GUARDED_BY(registry_mu_) = 0;
   bool stopped_ C2MN_GUARDED_BY(registry_mu_) = false;
 
   /// Operations enqueued but not yet fully processed, across all

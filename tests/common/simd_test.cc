@@ -11,30 +11,7 @@
 namespace c2mn {
 namespace {
 
-constexpr double kExpMax = 709.782712893383996843;
-
-/// The polynomial exp with its final scaling done by std::ldexp: the
-/// Cephes reduction and rational approximation PolyExp uses, kept here as
-/// the reference its libm-free power-of-two scaling must reproduce.
-double LdexpPolyExp(double x) {
-  if (x > kExpMax) return std::numeric_limits<double>::infinity();
-  if (x < simd::kExpFlushMin) return 0.0;
-  const double pxf = std::floor(1.4426950408889634073599 * x + 0.5);
-  double r = x - pxf * 6.93145751953125E-1;
-  r -= pxf * 1.42860682030941723212E-6;
-  const double rr = r * r;
-  const double p =
-      r * ((1.26177193074810590878E-4 * rr + 3.02994407707441961300E-2) * rr +
-           9.99999999999999999910E-1);
-  const double q = (((3.00198505138664455042E-6 * rr +
-                      2.52448340349684104192E-3) *
-                         rr +
-                     2.27265548208155028766E-1) *
-                        rr +
-                    2.00000000000000000005E0);
-  const double e = 1.0 + 2.0 * (p / (q - p));
-  return std::ldexp(e, static_cast<int>(pxf));
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 uint64_t Bits(double x) {
   uint64_t b;
@@ -42,112 +19,96 @@ uint64_t Bits(double x) {
   return b;
 }
 
-TEST(SimdPolyExpTest, PowerOfTwoScalingMatchesLdexpBitwise) {
-  std::vector<double> xs = {simd::kExpFlushMin, kExpMax, 0.0, -0.0};
-  // Both boundaries and their neighbours on either side.
-  for (double edge : {simd::kExpFlushMin, kExpMax}) {
-    double lo = edge, hi = edge;
-    for (int step = 0; step < 4; ++step) {
-      lo = std::nextafter(lo, -1e9);
-      hi = std::nextafter(hi, 1e9);
-      xs.push_back(lo);
-      xs.push_back(hi);
-    }
-  }
-  // Every point where the reduction's exponent n steps, and its
-  // neighbours: the scaling's half-exponent split changes there.
-  for (int n = -1022; n <= 1024; ++n) {
-    const double x = (n - 0.5) * 0.69314718055994530942;
-    xs.push_back(x);
-    xs.push_back(std::nextafter(x, -1e9));
-    xs.push_back(std::nextafter(x, 1e9));
-  }
-  // A dense even sweep of the whole range.
-  constexpr int kSweep = 1 << 20;
-  for (int i = 0; i <= kSweep; ++i) {
-    xs.push_back(simd::kExpFlushMin +
-                 (kExpMax - simd::kExpFlushMin) * i / kSweep);
-  }
-  int mismatches = 0;
-  for (double x : xs) {
-    const double got = simd::internal::PolyExp(x);
-    const double want = LdexpPolyExp(x);
-    if (Bits(got) != Bits(want) && ++mismatches <= 5) {
-      ADD_FAILURE() << "x = " << x << ": " << got << " vs ldexp " << want;
-    }
-  }
-  EXPECT_EQ(mismatches, 0);
-  // The range ends map to normal doubles; outside it, 0 and +inf.
-  EXPECT_GT(simd::internal::PolyExp(simd::kExpFlushMin), 0.0);
-  EXPECT_TRUE(std::isfinite(simd::internal::PolyExp(kExpMax)));
-  EXPECT_EQ(simd::internal::PolyExp(std::nextafter(simd::kExpFlushMin, -1e9)),
-            0.0);
-  EXPECT_EQ(simd::internal::PolyExp(std::nextafter(kExpMax, 1e9)),
-            std::numeric_limits<double>::infinity());
+TEST(SimdKernelTest, RowMaxOfEmptyRowIsMinusInfinity) {
+  EXPECT_EQ(simd::RowMax(nullptr, 0), -kInf);
+  const std::vector<double> x = {-kInf, -3.0, 2.5, 2.5, -kInf, 1.0};
+  EXPECT_EQ(simd::RowMax(x.data(), 1), -kInf);
+  EXPECT_EQ(simd::RowMax(x.data(), 2), -3.0);
+  EXPECT_EQ(simd::RowMax(x.data(), static_cast<int>(x.size())), 2.5);
 }
 
-/// Restores the dispatch tier active at construction.
-class ScopedSimdLevel {
- public:
-  ScopedSimdLevel() : saved_(simd::ActiveLevel()) {}
-  ~ScopedSimdLevel() { simd::ForceLevel(saved_); }
+TEST(SimdKernelTest, BiasAddIsElementwise) {
+  std::vector<double> x = {1.0, -2.0, 0.25, -kInf, 7.0};
+  const std::vector<double> b = {0.5, 2.0, -0.25, 3.0, -kInf};
+  simd::BiasAdd(x.data(), b.data(), 4);
+  EXPECT_EQ(x, (std::vector<double>{1.5, 0.0, 0.0, -kInf, 7.0}));
+}
 
- private:
-  simd::Level saved_;
-};
+TEST(SimdKernelTest, MaxPlusStepKeepsSmallestPredecessorOnTies) {
+  const std::vector<double> row = {0.0, 1.0, -1.0, 2.0, 0.5};
+  const int n = static_cast<int>(row.size());
+  std::vector<double> cur(n, -1e300);
+  std::vector<int> back(n, -1);
+  // Predecessors 0, 1 and 2 reach every entry with the same score; only
+  // the first may claim it.
+  for (int a = 0; a < 3; ++a) {
+    simd::MaxPlusStep(0.75, row.data(), cur.data(), back.data(), a, n);
+  }
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(cur[i], 0.75 + row[i]) << "entry " << i;
+    EXPECT_EQ(back[i], 0) << "entry " << i;
+  }
+  // A strictly better predecessor takes over only where it is better.
+  const std::vector<double> better = {1.0, 0.0, 0.0, 2.0, 1.0};
+  simd::MaxPlusStep(0.75, better.data(), cur.data(), back.data(), 3, n);
+  EXPECT_EQ(back, (std::vector<int>{3, 0, 3, 0, 3}));
+}
 
-TEST(SimdPolyExpTest, Avx2LanesMatchPolyExpBitwise) {
-  // Every AVX2 exp lane, including the masked n % 4 tail lanes, must be
-  // PolyExp exactly: the elementwise kernels at every length, and the
-  // sums at tail-only lengths (n < 4), where the reference order is plain
-  // left to right.
-  ScopedSimdLevel restore;
-  if (!simd::ForceLevel(simd::Level::kAVX2)) GTEST_SKIP() << "no AVX2";
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> pool = {-kInf, simd::kExpFlushMin, kExpMax, 0.0,
-                              -800.0, 750.0};
-  for (int i = 0; i < 200; ++i) pool.push_back(-720.0 + 7.3 * i);
+TEST(SimdKernelTest, ExpKernelsEqualStdExpBitwise) {
+  // Every exp kernel must be exactly its documented std::exp formula,
+  // with the sums added left to right.  Terms of similar size make a
+  // reordered sum round differently, and -inf arguments must give
+  // exp(-inf) = 0.
+  std::vector<double> pool = {-kInf, simd::kExpFlushMin, -800.0, 0.0, -0.0};
+  for (int i = 0; i < 97; ++i) pool.push_back(std::sin(1.7 * i) * 3.0);
   size_t next = 0;
   const auto draw = [&] { return pool[(next += 37) % pool.size()]; };
-  for (int n = 1; n <= 11; ++n) {
+  for (int n = 0; n <= 11; ++n) {
     for (int rep = 0; rep < 40; ++rep) {
       std::vector<double> x(n), row(n), acc(n);
       for (int i = 0; i < n; ++i) {
         x[i] = draw();
-        row[i] = draw() * 0.5;
+        row[i] = draw();
         acc[i] = 0.25 * i;
       }
       std::vector<double> normalized = x;
-      simd::ExpNormalize(normalized.data(), 3.5, n);
+      simd::ExpNormalize(normalized.data(), 0.5, n);
       std::vector<double> accumulated = acc;
       simd::ExpAccumulate(-2.0, row.data(), accumulated.data(), n);
-      // Sums get terms of similar size, so a reordered tail would round
-      // differently.
-      std::vector<double> y(n), z(n);
-      for (int i = 0; i < n; ++i) {
-        y[i] = std::sin(7.0 * rep + i);
-        z[i] = std::cos(3.0 * rep + 2.0 * i);
-      }
       double sum_row = 0.0, sum_shifted = 0.0;
       for (int i = 0; i < n; ++i) {
-        EXPECT_EQ(Bits(normalized[i]),
-                  Bits(simd::internal::PolyExp(x[i] - 3.5)))
-            << "ExpNormalize n=" << n << " lane " << i;
+        EXPECT_EQ(Bits(normalized[i]), Bits(std::exp(x[i] - 0.5)))
+            << "ExpNormalize n=" << n << " entry " << i;
         EXPECT_EQ(Bits(accumulated[i]),
-                  Bits(acc[i] + simd::internal::PolyExp(-2.0 + row[i])))
-            << "ExpAccumulate n=" << n << " lane " << i;
-        sum_row += simd::internal::PolyExp(y[i] - 1.5);
-        sum_shifted += simd::internal::PolyExp(z[i] + y[i] - 1.5);
+                  Bits(acc[i] + std::exp(-2.0 + row[i])))
+            << "ExpAccumulate n=" << n << " entry " << i;
+        sum_row += std::exp(x[i] - 1.5);
+        sum_shifted += std::exp(row[i] + x[i] - 1.5);
       }
-      if (n < 4) {
-        EXPECT_EQ(Bits(simd::ExpSumRow(1.5, y.data(), n)), Bits(sum_row))
-            << "ExpSumRow n=" << n;
-        EXPECT_EQ(Bits(simd::SumExpShifted(z.data(), y.data(), 1.5, n)),
-                  Bits(sum_shifted))
-            << "SumExpShifted n=" << n;
-      }
+      EXPECT_EQ(Bits(simd::ExpSumRow(1.5, x.data(), n)), Bits(sum_row))
+          << "ExpSumRow n=" << n;
+      EXPECT_EQ(Bits(simd::SumExpShifted(row.data(), x.data(), 1.5, n)),
+                Bits(sum_shifted))
+          << "SumExpShifted n=" << n;
     }
   }
+  double minus_inf = -kInf;
+  EXPECT_EQ(Bits(simd::ExpSumRow(0.0, &minus_inf, 1)), Bits(0.0));
+  simd::ExpNormalize(&minus_inf, 0.0, 1);
+  EXPECT_EQ(Bits(minus_inf), Bits(0.0));
+}
+
+TEST(SimdKernelTest, ExpBelowFlushMinIsSubnormal) {
+  // The forward pass skips rows below kExpFlushMin on the grounds that
+  // their terms are at most subnormal.
+  const double below = std::nextafter(simd::kExpFlushMin, -kInf);
+  EXPECT_LT(std::exp(below), std::numeric_limits<double>::min());
+  EXPECT_GT(std::exp(simd::kExpFlushMin),
+            0.5 * std::numeric_limits<double>::min());
+}
+
+TEST(SimdKernelTest, FingerprintNamesTheScalarTier) {
+  EXPECT_STREQ(simd::LevelName(simd::ActiveLevel()), "scalar");
 }
 
 }  // namespace

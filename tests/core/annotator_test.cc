@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/simd.h"
 #include "core/trainer.h"
 #include "core/variants.h"
 #include "data/dataset.h"
@@ -118,41 +117,6 @@ TEST_F(AnnotatorTest, ViterbiAndMaxMarginalBothWork) {
   // Both decoders must be in the same quality ballpark.
   EXPECT_NEAR(mm_acc.Report().combined_accuracy,
               vit_acc.Report().combined_accuracy, 0.1);
-}
-
-TEST_F(AnnotatorTest, ScalarAndDetectedTiersDecodeIdentically) {
-  // The whole-decode counterpart of flat_chain_test's kernel-level tier
-  // agreement: the AVX2 polynomial exp may differ from std::exp by a few
-  // ulp, which must not flip a single max-marginal label on the fixture.
-  const simd::Level detected = simd::DetectedLevel();
-  if (detected == simd::Level::kScalar) {
-    GTEST_SKIP() << "only the scalar tier is supported on this host";
-  }
-  struct RestoreLevel {
-    simd::Level saved = simd::ActiveLevel();
-    ~RestoreLevel() { simd::ForceLevel(saved); }
-  } restore;
-  const C2mnAnnotator annotator(*scenario_.world, FeatureOptions{},
-                                C2mnStructure{}, weights_);
-  const auto decode_test_split = [&] {
-    std::vector<LabelSequence> out;
-    for (const LabeledSequence* ls : split_.test) {
-      out.push_back(annotator.Annotate(ls->sequence));
-    }
-    return out;
-  };
-  ASSERT_TRUE(simd::ForceLevel(simd::Level::kScalar));
-  const std::vector<LabelSequence> scalar = decode_test_split();
-  ASSERT_TRUE(simd::ForceLevel(detected));
-  const std::vector<LabelSequence> vector = decode_test_split();
-  ASSERT_FALSE(scalar.empty());
-  ASSERT_EQ(vector.size(), scalar.size());
-  for (size_t s = 0; s < scalar.size(); ++s) {
-    EXPECT_EQ(vector[s].regions, scalar[s].regions)
-        << simd::LevelName(detected) << " sequence " << s;
-    EXPECT_TRUE(vector[s].events == scalar[s].events)
-        << simd::LevelName(detected) << " sequence " << s;
-  }
 }
 
 TEST_F(AnnotatorTest, DecoupledStructureStillAnnotates) {

@@ -391,93 +391,60 @@ TEST(FlatChainTest, ArenaReuseDoesNotGrowAfterWarmup) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD tier equivalence.  Every kernel dispatches through simd::ActiveLevel;
-// these tests force each tier the host supports in turn and require labels
-// identical to (and quantities within 1e-9 of) the scalar tier, across the
-// shapes that stress lane handling: domain 1, odd domains, the AVX2 lane
-// width ±1, tie-heavy potentials, and ±inf node biases.
+// Awkward shapes.  The flat kernels against the nested reference on the
+// shapes that stress row handling: domain 1, odd domains, tie-heavy
+// potentials, and ±inf node biases.
 // ---------------------------------------------------------------------------
 
-/// Restores the dispatch tier active at construction (tests force tiers).
-class ScopedSimdLevel {
- public:
-  ScopedSimdLevel() : saved_(simd::ActiveLevel()) {}
-  ~ScopedSimdLevel() { simd::ForceLevel(saved_); }
-
- private:
-  simd::Level saved_;
-};
-
-std::vector<simd::Level> SupportedLevels() {
-  ScopedSimdLevel restore;
-  std::vector<simd::Level> levels;
-  for (simd::Level level : {simd::Level::kScalar, simd::Level::kAVX2}) {
-    if (simd::ForceLevel(level)) levels.push_back(level);
+/// Runs the flat kernels with `bias` as an overlay and checks them
+/// against the nested reference on potentials with the bias materialized
+/// into the nodes.  The log-sum-exp kernels run only when
+/// `marginal_safe`.
+void ExpectOverlayMatchesNested(const ChainPotentials& pots,
+                                const std::vector<double>& bias,
+                                bool marginal_safe) {
+  ChainPotentials augmented = pots;
+  size_t off = 0;
+  for (auto& row : augmented.node) {
+    for (double& v : row) v += bias[off++];
   }
-  return levels;
-}
-
-/// Everything the flat kernels compute for one chain + bias.
-struct KernelRun {
-  std::vector<int> viterbi;
-  std::vector<int> max_marginal;
-  double log_partition = 0.0;
-  std::vector<double> marginals;
-};
-
-KernelRun RunKernels(const ChainPotentials& pots, const double* bias,
-                     bool marginal_safe) {
   InferenceArena arena;
   ChainWorkspace ws;
   FlatChainPotentials flat = FlatChainPotentials::FromNested(pots, &arena);
   flat.PrecomputeEdgeExp(&arena);
-  KernelRun run;
-  FlatViterbi(flat, bias, &ws, &run.viterbi);
-  if (marginal_safe) {
-    FlatMaxMarginalLabels(flat, bias, &ws, &run.max_marginal);
-    run.log_partition = FlatLogPartition(flat, bias, &ws);
-    run.marginals.resize(flat.node_total);
-    FlatMarginals(flat, bias, &ws, run.marginals.data());
-  }
-  return run;
-}
-
-void ExpectTiersAgree(const ChainPotentials& pots, const double* bias,
-                      bool marginal_safe) {
-  ScopedSimdLevel restore;
-  ASSERT_TRUE(simd::ForceLevel(simd::Level::kScalar));
-  const KernelRun scalar = RunKernels(pots, bias, marginal_safe);
-  for (simd::Level level : SupportedLevels()) {
-    ASSERT_TRUE(simd::ForceLevel(level));
-    const KernelRun tier = RunKernels(pots, bias, marginal_safe);
-    EXPECT_EQ(tier.viterbi, scalar.viterbi) << simd::LevelName(level);
-    if (!marginal_safe) continue;
-    EXPECT_EQ(tier.max_marginal, scalar.max_marginal)
-        << simd::LevelName(level);
-    EXPECT_NEAR(tier.log_partition, scalar.log_partition, 1e-9)
-        << simd::LevelName(level);
-    ASSERT_EQ(tier.marginals.size(), scalar.marginals.size());
-    for (size_t i = 0; i < scalar.marginals.size(); ++i) {
-      EXPECT_NEAR(tier.marginals[i], scalar.marginals[i], 1e-9)
-          << simd::LevelName(level) << " entry " << i;
+  std::vector<int> labels;
+  FlatViterbi(flat, bias.data(), &ws, &labels);
+  EXPECT_EQ(labels, NestedViterbi(augmented));
+  if (!marginal_safe) return;
+  FlatMaxMarginalLabels(flat, bias.data(), &ws, &labels);
+  EXPECT_EQ(labels, MarginalsArgmax(flat, bias.data(), &ws));
+  EXPECT_NEAR(FlatLogPartition(flat, bias.data(), &ws),
+              NestedLogPartition(augmented), 1e-9);
+  std::vector<double> marginals(flat.node_total);
+  FlatMarginals(flat, bias.data(), &ws, marginals.data());
+  const auto nested_marg = NestedMarginals(augmented);
+  for (int i = 0; i < flat.n; ++i) {
+    for (int a = 0; a < flat.domain(i); ++a) {
+      EXPECT_NEAR(marginals[flat.node_off[i] + a], nested_marg[i][a], 1e-9)
+          << "position " << i << " label " << a;
     }
   }
 }
 
 TEST(FlatChainSimdTest, TiersAgreeAcrossAwkwardDomainSizes) {
-  // Domains 1..9 hit 1, odd sizes, and the AVX2 lane width (4) ±1.
+  // Domains 1..9 hit 1 and odd sizes.
   Rng rng(404);
   for (int rep = 0; rep < 12; ++rep) {
     const int len = 1 + static_cast<int>(rng.UniformInt(uint64_t{14}));
     const ChainPotentials pots = RandomChain(&rng, len, 1, 9);
-    ExpectTiersAgree(pots, nullptr, /*marginal_safe=*/true);
+    ExpectEquivalent(pots);
   }
 }
 
 TEST(FlatChainSimdTest, TiersAgreeOnTieHeavyPotentials) {
   // Quantized potentials make equal-score paths the common case, so the
-  // smallest-index tie-break must be implemented identically in every
-  // lane arrangement.
+  // flat kernels must keep the nested reference's smallest-index
+  // tie-break.
   Rng rng(405);
   for (int rep = 0; rep < 12; ++rep) {
     const int len = 2 + static_cast<int>(rng.UniformInt(uint64_t{10}));
@@ -490,7 +457,7 @@ TEST(FlatChainSimdTest, TiersAgreeOnTieHeavyPotentials) {
         for (double& v : row) v = 0.0;  // Every transition ties.
       }
     }
-    ExpectTiersAgree(pots, nullptr, /*marginal_safe=*/true);
+    ExpectEquivalent(pots);
   }
 }
 
@@ -514,7 +481,7 @@ TEST(FlatChainSimdTest, TiersAgreeWithInfiniteNodeBias) {
       }
       off += d;
     }
-    ExpectTiersAgree(pots, bias.data(), /*marginal_safe=*/true);
+    ExpectOverlayMatchesNested(pots, bias, /*marginal_safe=*/true);
     // A forbidden label must never decode.
     InferenceArena arena;
     ChainWorkspace ws;
@@ -532,22 +499,10 @@ TEST(FlatChainSimdTest, TiersAgreeWithInfiniteNodeBias) {
     const int pin_label = static_cast<int>(
         rng.UniformInt(uint64_t(pots.node[pin_pos].size())));
     pin[flat.node_off[pin_pos] + pin_label] = kInf;
-    ExpectTiersAgree(pots, pin.data(), /*marginal_safe=*/false);
+    ExpectOverlayMatchesNested(pots, pin, /*marginal_safe=*/false);
     FlatViterbi(flat, pin.data(), &ws, &labels);
     EXPECT_EQ(labels[pin_pos], pin_label);
   }
-}
-
-TEST(FlatChainSimdTest, ForcedScalarFallbackStaysExercised) {
-  // The dispatch override must reach the scalar tier on any host — the
-  // same tier C2MN_SIMD=scalar pins for CI's sanitizer reruns — and the
-  // scalar kernels must reproduce the legacy nested reference exactly.
-  ScopedSimdLevel restore;
-  ASSERT_TRUE(simd::ForceLevel(simd::Level::kScalar));
-  EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
-  Rng rng(407);
-  const ChainPotentials pots = RandomChain(&rng, 9, 1, 5);
-  ExpectEquivalent(pots);
 }
 
 /// Random node-bias overlay of `scale` magnitude, laid out like the nodes.
@@ -563,22 +518,18 @@ std::vector<double> RandomBias(Rng* rng, const ChainPotentials& pots,
 }
 
 /// Runs FlatMaxMarginalLabels on `pots` (with and without a random overlay)
-/// under every supported tier and requires the marginals' argmax.
+/// and requires the marginals' argmax.
 void ExpectMaxMarginalsMatchArgmax(const ChainPotentials& pots,
                                    const std::vector<double>& bias) {
-  ScopedSimdLevel restore;
-  for (simd::Level level : SupportedLevels()) {
-    ASSERT_TRUE(simd::ForceLevel(level));
-    InferenceArena arena;
-    ChainWorkspace ws;
-    FlatChainPotentials flat = FlatChainPotentials::FromNested(pots, &arena);
-    flat.PrecomputeEdgeExp(&arena);
-    for (const double* b : {static_cast<const double*>(nullptr), bias.data()}) {
-      std::vector<int> fast;
-      FlatMaxMarginalLabels(flat, b, &ws, &fast);
-      EXPECT_EQ(fast, MarginalsArgmax(flat, b, &ws))
-          << simd::LevelName(level) << (b == nullptr ? "" : " with overlay");
-    }
+  InferenceArena arena;
+  ChainWorkspace ws;
+  FlatChainPotentials flat = FlatChainPotentials::FromNested(pots, &arena);
+  flat.PrecomputeEdgeExp(&arena);
+  for (const double* b : {static_cast<const double*>(nullptr), bias.data()}) {
+    std::vector<int> fast;
+    FlatMaxMarginalLabels(flat, b, &ws, &fast);
+    EXPECT_EQ(fast, MarginalsArgmax(flat, b, &ws))
+        << (b == nullptr ? "" : "with overlay");
   }
 }
 

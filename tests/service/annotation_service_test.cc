@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -155,6 +156,25 @@ TEST_F(AnnotationServiceTest, DeterministicAcrossProducerInterleavings) {
   EXPECT_LE(stats.latency_p99_ms, stats.latency_max_ms + 1e-9);
   EXPECT_EQ(stats.queue_depths.size(), 4u);
   for (size_t depth : stats.queue_depths) EXPECT_EQ(depth, 0u);
+
+  // Stats() is a view over the exported registry counters, never a copy
+  // that can drift from them.
+  const auto exported = [&service](const std::string& name) {
+    for (const obs::MetricSnapshot& m :
+         service.metrics_registry().Snapshot()) {
+      if (m.name == name) return static_cast<uint64_t>(m.value);
+    }
+    ADD_FAILURE() << name << " is not exported";
+    return uint64_t{0};
+  };
+  EXPECT_EQ(exported("c2mn_service_sessions_opened_total"),
+            stats.sessions_opened);
+  EXPECT_EQ(exported("c2mn_service_sessions_closed_total"),
+            stats.sessions_closed);
+  EXPECT_EQ(exported("c2mn_service_records_submitted_total"),
+            stats.records_submitted);
+  EXPECT_EQ(exported("c2mn_service_records_processed_total"),
+            stats.records_processed);
 }
 
 TEST_F(AnnotationServiceTest, BackpressureNeverDeadlocks) {
@@ -225,6 +245,11 @@ TEST_F(AnnotationServiceTest, SessionLifecycleErrors) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(service.Submit(42, record).code(),
             StatusCode::kFailedPrecondition);
+  // Rejected calls count nothing: two opens and two closes went through.
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.sessions_opened, 2u);
+  EXPECT_EQ(stats.sessions_closed, 2u);
+  EXPECT_EQ(stats.sessions_open, 0u);
 }
 
 TEST_F(AnnotationServiceTest, StatsStartEmpty) {
